@@ -33,11 +33,12 @@ doclint: vet
 # detector over the whole module.
 lint: vet nrlvet race
 
-# Regenerate the committed performance baselines (BENCH_nvm.json,
-# BENCH_objects.json, BENCH_persist.json — schema nrl-bench/1, see
-# internal/bench). Run on a quiet machine and commit the result when
-# performance changes on purpose; CI gates against these files via
-# bench-check.
+# Regenerate the committed performance baselines (BENCH_experiments.json,
+# BENCH_nvm.json, BENCH_objects.json, BENCH_persist.json — schema
+# nrl-bench/1, see internal/bench). Run on a quiet machine and commit
+# the result when performance changes on purpose; CI gates against these
+# files via bench-check. EXPERIMENTS.md's E-tables render from
+# BENCH_experiments.json (`go run ./cmd/nrlbench BENCH_experiments.json`).
 bench:
 	$(GO) run ./cmd/nrlbench -json .
 
@@ -51,14 +52,16 @@ bench:
 bench-check:
 	rm -rf bench-out && mkdir -p bench-out
 	$(GO) run ./cmd/nrlbench -json bench-out
+	$(GO) run ./cmd/nrlbench -compare BENCH_experiments.json bench-out/BENCH_experiments.json
 	$(GO) run ./cmd/nrlbench -compare BENCH_nvm.json bench-out/BENCH_nvm.json
 	$(GO) run ./cmd/nrlbench -compare BENCH_objects.json bench-out/BENCH_objects.json
 	$(GO) run ./cmd/nrlbench -compare BENCH_persist.json bench-out/BENCH_persist.json
 	$(GO) run ./cmd/nrlbench -overhead bench-out/BENCH_objects.json
 	$(GO) run ./cmd/nrlbench -alloccap bench-out/BENCH_objects.json
 
-# The raw go-test microbenchmarks (bench_test.go) for interactive work;
-# the committed BENCH_*.json baselines come from `make bench` instead.
+# Every suite's specs under testing.B (bench_test.go's BenchmarkSuites)
+# for interactive work; the committed BENCH_*.json baselines come from
+# `make bench` instead.
 microbench:
 	$(GO) test -bench . -benchtime 1000x -run '^$$' .
 

@@ -1,607 +1,30 @@
-// Benchmarks regenerating the experiment suite of DESIGN.md Section 5
-// (E1–E9) as testing.B benchmarks. cmd/nrlbench renders the same
-// workloads as tables; EXPERIMENTS.md records the measured shapes.
+// BenchmarkSuites runs every internal/bench suite under testing.B: the
+// Spec values `nrlbench -json` measures, EXPERIMENTS.md's E1–E10 rows
+// included, one sub-benchmark per suite/spec.
 package nrl_test
 
 import (
-	"fmt"
-	"io"
-	"sync"
 	"testing"
 
-	"nrl"
-	"nrl/internal/baseline"
-	"nrl/internal/core"
-	"nrl/internal/nvm"
-	"nrl/internal/objects"
-	"nrl/internal/proc"
-	"nrl/internal/rme"
-	"nrl/internal/spec"
-	"nrl/internal/trace"
+	"nrl/internal/bench"
 )
 
-func benchSys(n int) *proc.System {
-	return proc.NewSystem(proc.Config{Procs: n})
-}
-
-// --- E1: recoverable vs baseline primitive cost -------------------------
-
-func BenchmarkE1_Read_Baseline(b *testing.B) {
-	sys := benchSys(1)
-	r := baseline.NewRegister(sys, "r", 0)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Read(c)
-	}
-}
-
-func BenchmarkE1_Read_Recoverable(b *testing.B) {
-	sys := benchSys(1)
-	r := core.NewRegister(sys, "r", 0)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Read(c)
-	}
-}
-
-func BenchmarkE1_Write_Baseline(b *testing.B) {
-	sys := benchSys(1)
-	r := baseline.NewRegister(sys, "r", 0)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Write(c, uint64(i))
-	}
-}
-
-func BenchmarkE1_Write_Recoverable(b *testing.B) {
-	sys := benchSys(1)
-	r := core.NewRegister(sys, "r", 0)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Write(c, uint64(i)+1) // distinct values
-	}
-}
-
-func BenchmarkE1_CAS_Baseline(b *testing.B) {
-	sys := benchSys(1)
-	o := baseline.NewCAS(sys, "c", 0)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.CompareAndSwap(c, uint64(i), uint64(i)+1)
-	}
-}
-
-func BenchmarkE1_CAS_Recoverable(b *testing.B) {
-	sys := benchSys(1)
-	o := core.NewCASObject(sys, "c")
-	c := sys.Proc(1).Ctx()
-	prev := uint64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next := core.DistinctCAS(1, uint32(i%core.MaxCASSeq)+1, uint32(i))
-		o.CAS(c, prev, next)
-		prev = next
-	}
-}
-
-func BenchmarkE1_TAS_Baseline(b *testing.B) {
-	sys := benchSys(1)
-	objs := make([]*baseline.TAS, b.N)
-	for i := range objs {
-		objs[i] = baseline.NewTAS(sys, "t")
-	}
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		objs[i].TestAndSet(c)
-	}
-}
-
-func BenchmarkE1_TAS_Recoverable(b *testing.B) {
-	sys := benchSys(1)
-	objs := make([]*core.TAS, b.N)
-	for i := range objs {
-		objs[i] = core.NewTAS(sys, "t")
-	}
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		objs[i].TestAndSet(c)
-	}
-}
-
-func BenchmarkE1_Inc_Baseline(b *testing.B) {
-	sys := benchSys(1)
-	ctr := baseline.NewCounter(sys, "ctr")
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctr.Inc(c)
-	}
-}
-
-func BenchmarkE1_Inc_Recoverable(b *testing.B) {
-	sys := benchSys(1)
-	ctr := objects.NewCounter(sys, "ctr")
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctr.Inc(c)
-	}
-}
-
-// --- E2: counter scaling -------------------------------------------------
-
-func BenchmarkE2_CounterInc(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("baseline/procs=%d", n), func(b *testing.B) {
-			sys := benchSys(n)
-			ctr := baseline.NewCounter(sys, "ctr")
-			runParallelOn(b, sys, n, func(c *proc.Ctx, ops int) {
-				for i := 0; i < ops; i++ {
-					ctr.Inc(c)
-				}
+// BenchmarkSuites measures each spec with bench.Measure at b.N ops (one
+// round, no latency sampling; b.N replaces a spec's own op count) and
+// reports its ns/op, allocation rates and NVRAM primitives per op.
+func BenchmarkSuites(b *testing.B) {
+	b.Cleanup(bench.CleanupDirs)
+	suites := bench.Suites()
+	for _, suite := range bench.SuiteNames() {
+		for _, s := range suites[suite] {
+			b.Run(suite+"/"+s.Name, func(b *testing.B) {
+				s.Ops = b.N
+				res := bench.Measure(s, bench.Options{Rounds: 1, Samples: -1})
+				b.ReportMetric(res.NsPerOp, "ns/op")
+				b.ReportMetric(res.AllocsPerOp, "allocs/op")
+				b.ReportMetric(res.BytesPerOp, "B/op")
+				b.ReportMetric(res.MemOpsPerOp, "mem-ops/op")
 			})
-		})
-		b.Run(fmt.Sprintf("recoverable/procs=%d", n), func(b *testing.B) {
-			sys := benchSys(n)
-			ctr := objects.NewCounter(sys, "ctr")
-			runParallelOn(b, sys, n, func(c *proc.Ctx, ops int) {
-				for i := 0; i < ops; i++ {
-					ctr.Inc(c)
-				}
-			})
-		})
-	}
-}
-
-func runParallelOn(b *testing.B, sys *proc.System, n int, body func(c *proc.Ctx, ops int)) {
-	b.Helper()
-	per := b.N / n
-	if per == 0 {
-		per = 1
-	}
-	b.ResetTimer()
-	for p := 1; p <= n; p++ {
-		sys.Go(p, func(c *proc.Ctx) { body(c, per) })
-	}
-	sys.Wait()
-}
-
-// --- E3: CAS under contention -------------------------------------------
-
-func BenchmarkE3_CASRetryLoop(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("baseline/procs=%d", n), func(b *testing.B) {
-			sys := benchSys(n)
-			o := baseline.NewCAS(sys, "c", 0)
-			runParallelOn(b, sys, n, func(c *proc.Ctx, ops int) {
-				for i := 0; i < ops; i++ {
-					for {
-						cur := o.Read(c)
-						if o.CompareAndSwap(c, cur, cur+1) {
-							break
-						}
-					}
-				}
-			})
-		})
-		b.Run(fmt.Sprintf("recoverable/procs=%d", n), func(b *testing.B) {
-			sys := benchSys(n)
-			o := core.NewCASObject(sys, "c")
-			runParallelOn(b, sys, n, func(c *proc.Ctx, ops int) {
-				p := c.P()
-				seq := uint32(0)
-				for i := 0; i < ops; i++ {
-					for {
-						cur := o.Read(c)
-						seq++
-						if o.CAS(c, cur, core.DistinctCAS(p, seq%core.MaxCASSeq+1, seq)) {
-							break
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-// --- E4: crash-rate sweep ------------------------------------------------
-
-func BenchmarkE4_CounterIncUnderCrashes(b *testing.B) {
-	for _, rate := range []float64{0, 1e-4, 1e-3, 1e-2} {
-		b.Run(fmt.Sprintf("rate=%g", rate), func(b *testing.B) {
-			inj := &proc.Random{Rate: rate, Seed: 42}
-			sys := proc.NewSystem(proc.Config{Procs: 1, Injector: inj})
-			ctr := objects.NewCounter(sys, "ctr")
-			c := sys.Proc(1).Ctx()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctr.Inc(c)
-			}
-			b.StopTimer()
-			if got := ctr.Read(c); got != uint64(b.N) {
-				b.Fatalf("counter = %d, want %d", got, b.N)
-			}
-			b.ReportMetric(float64(inj.Crashes())*1000/float64(b.N), "crashes/kop")
-		})
-	}
-}
-
-// --- E5: strictness ablation ----------------------------------------------
-
-func BenchmarkE5_Read_NonStrict(b *testing.B) {
-	sys := benchSys(1)
-	r := core.NewRegister(sys, "r", 0)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Read(c)
-	}
-}
-
-func BenchmarkE5_Read_Strict(b *testing.B) {
-	sys := benchSys(1)
-	r := core.NewRegister(sys, "r", 0)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.StrictRead(c)
-	}
-}
-
-func BenchmarkE5_CAS_NonStrict(b *testing.B) {
-	sys := benchSys(1)
-	o := core.NewCASObject(sys, "c")
-	c := sys.Proc(1).Ctx()
-	prev := uint64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next := core.DistinctCAS(1, uint32(i%core.MaxCASSeq)+1, uint32(i))
-		o.CAS(c, prev, next)
-		prev = next
-	}
-}
-
-func BenchmarkE5_CAS_Strict(b *testing.B) {
-	sys := benchSys(1)
-	o := core.NewCASObject(sys, "c")
-	c := sys.Proc(1).Ctx()
-	prev := uint64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next := core.DistinctCAS(1, uint32(i%core.MaxCASSeq)+1, uint32(i))
-		o.StrictCAS(c, prev, next)
-		prev = next
-	}
-}
-
-// --- E6: TAS recovery blocking cost ---------------------------------------
-
-func BenchmarkE6_TAS(b *testing.B) {
-	for _, n := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("crashfree/procs=%d", n), func(b *testing.B) {
-			benchTASRounds(b, n, false)
-		})
-		b.Run(fmt.Sprintf("allcrash/procs=%d", n), func(b *testing.B) {
-			benchTASRounds(b, n, true)
-		})
-	}
-}
-
-// benchTASRounds measures whole TAS rounds (all n processes performing
-// one T&S each on a fresh object), optionally crashing every process
-// right after the critical primitive.
-func benchTASRounds(b *testing.B, n int, crash bool) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		var inj proc.Injector = proc.Never{}
-		if crash {
-			var m proc.Multi
-			for p := 1; p <= n; p++ {
-				m = append(m, &proc.AtLine{Proc: p, Obj: "t", Op: "T&S", Line: 9})
-			}
-			inj = m
 		}
-		sys := proc.NewSystem(proc.Config{Procs: n, Injector: inj})
-		o := core.NewTAS(sys, "t")
-		for p := 1; p <= n; p++ {
-			sys.Go(p, func(c *proc.Ctx) { o.TestAndSet(c) })
-		}
-		sys.Wait()
-	}
-}
-
-// --- E7: checker cost ------------------------------------------------------
-
-func BenchmarkE7_NRLCheck(b *testing.B) {
-	for _, ops := range []int{120, 600, 1500} {
-		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
-			rec := nrl.NewRecorder()
-			inj := &proc.Random{Rate: 0.002, Seed: 1, MaxCrashes: 10}
-			sys := proc.NewSystem(proc.Config{Procs: 3, Recorder: rec, Injector: inj})
-			ctr := objects.NewCounter(sys, "ctr")
-			per := ops / 3
-			for p := 1; p <= 3; p++ {
-				sys.Go(p, func(c *proc.Ctx) {
-					for i := 0; i < per; i++ {
-						ctr.Inc(c)
-					}
-				})
-			}
-			sys.Wait()
-			h := rec.History()
-			models := func(obj string) spec.Model {
-				if obj == "ctr" {
-					return spec.Counter{}
-				}
-				return spec.Register{}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := nrl.CheckNRL(models, h); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- E8: persistence-mode ablation ------------------------------------------
-
-func BenchmarkE8_Write(b *testing.B) {
-	modes := []struct {
-		name    string
-		mode    nvm.Mode
-		persist bool
-	}{
-		{"ADR", nvm.ADR, false},
-		{"ADR+persist", nvm.ADR, true},
-		{"Buffered", nvm.Buffered, false},
-		{"Buffered+persist", nvm.Buffered, true},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			mem := nvm.New(nvm.WithMode(m.mode))
-			a := mem.Alloc("x", 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mem.Write(a, uint64(i))
-				if m.persist {
-					mem.Persist(a)
-				}
-			}
-		})
-	}
-}
-
-// --- NVM hot path -----------------------------------------------------------
-
-// benchHeapWords sizes the backing heap of the NVM scaling benchmarks: a
-// production-scale word count, so costs that are O(total words) — the
-// pre-shard fence scanned the entire word array for flushed words — show
-// up as they would in a real system, not amortised away by a toy heap.
-const benchHeapWords = 1 << 14
-
-// BenchmarkNVM_BufferedCASPersist is the scaling benchmark of the sharded
-// memory: n workers, each owning one word of a benchHeapWords-word heap,
-// each repeating the buffered persist discipline (read, CAS, flush,
-// fence) with per-process trace attribution. Before the memory was
-// sharded every iteration serialized on one global persistence mutex and
-// every fence scanned the whole word array; the per-process flush sets
-// reduce the fence to the one word the worker actually flushed.
-// EXPERIMENTS.md §9 records the before/after.
-func BenchmarkNVM_BufferedCASPersist(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			mem := nvm.New(nvm.WithMode(nvm.Buffered))
-			mem.AllocArray("heap", benchHeapWords, 0)
-			addrs := mem.AllocArray("w", n, 0)
-			per := b.N / n
-			if per == 0 {
-				per = 1
-			}
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for p := 1; p <= n; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					at := trace.Attr{P: p}
-					a := addrs[p-1]
-					for i := 0; i < per; i++ {
-						v := mem.ReadAt(a, at)
-						mem.CASAt(a, v, v+1, at)
-						mem.FlushAt(a, at)
-						mem.FenceAt(at)
-					}
-				}(p)
-			}
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkNVM_BufferedContendedCAS measures n workers hammering one
-// shared word (every CAS lands on the same shard, so sharding cannot
-// help; this bounds the cost of the per-shard locking itself).
-func BenchmarkNVM_BufferedContendedCAS(b *testing.B) {
-	for _, n := range []int{1, 8} {
-		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			mem := nvm.New(nvm.WithMode(nvm.Buffered))
-			a := mem.Alloc("w", 0)
-			per := b.N / n
-			if per == 0 {
-				per = 1
-			}
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for p := 1; p <= n; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					at := trace.Attr{P: p}
-					for i := 0; i < per; i++ {
-						v := mem.ReadAt(a, at)
-						mem.CASAt(a, v, v+1, at)
-					}
-				}(p)
-			}
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkNVM_UntracedWrite asserts the zero-alloc, branch-only cost of
-// the untraced primitive fast path (the nop-tracer guarantee extends from
-// the operation layer down to raw memory primitives).
-func BenchmarkNVM_UntracedWrite(b *testing.B) {
-	for _, mode := range []nvm.Mode{nvm.ADR, nvm.Buffered} {
-		b.Run(mode.String(), func(b *testing.B) {
-			mem := nvm.New(nvm.WithMode(mode))
-			a := mem.Alloc("x", 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mem.Write(a, uint64(i))
-			}
-		})
-	}
-}
-
-// BenchmarkNVM_Alloc measures allocation of fresh words (the growth path:
-// chunked slabs must not quadratically re-copy).
-func BenchmarkNVM_Alloc(b *testing.B) {
-	mem := nvm.New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mem.Alloc("x", 0)
-	}
-}
-
-// --- tracing overhead -------------------------------------------------------
-
-// BenchmarkTracerOverhead measures the cost the trace layer adds to a
-// recoverable counter INC: no tracer at all (the nil fast path), the Nop
-// sink (normalized to nil at install, so identical to untraced by
-// construction), the ring sink, and JSONL encoding to io.Discard. The
-// ring and JSONL rows are the true price of recording; untraced and nop
-// must sit within noise of each other.
-func BenchmarkTracerOverhead(b *testing.B) {
-	bench := func(b *testing.B, tr trace.Tracer) {
-		b.Helper()
-		sys := proc.NewSystem(proc.Config{Procs: 1, Tracer: tr})
-		ctr := objects.NewCounter(sys, "ctr")
-		c := sys.Proc(1).Ctx()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ctr.Inc(c)
-		}
-	}
-	b.Run("untraced", func(b *testing.B) { bench(b, nil) })
-	b.Run("nop", func(b *testing.B) { bench(b, trace.Nop{}) })
-	b.Run("ring", func(b *testing.B) { bench(b, trace.NewRing(1<<16)) })
-	b.Run("jsonl-discard", func(b *testing.B) { bench(b, trace.NewJSONL(io.Discard)) })
-}
-
-// --- extension objects (ablation of the modular constructions) -------------
-
-func BenchmarkExt_FAA_Recoverable(b *testing.B) {
-	sys := benchSys(1)
-	f := objects.NewFAA(sys, "f")
-	c := sys.Proc(1).Ctx()
-	if b.N > objects.MaxFAAValue {
-		b.Skip("b.N exceeds the FAA payload range")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Add(c, 1)
-	}
-}
-
-func BenchmarkExt_FAA_Baseline(b *testing.B) {
-	sys := benchSys(1)
-	f := baseline.NewFAA(sys, "f")
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Add(c, 1)
-	}
-}
-
-func BenchmarkExt_StackPushPop(b *testing.B) {
-	sys := benchSys(1)
-	capacity := b.N + 16
-	if capacity > 1<<20 {
-		b.Skip("b.N exceeds the stack arena used for this benchmark")
-	}
-	s := objects.NewStack(sys, "s", capacity)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Push(c, uint64(i)+1)
-		s.Pop(c)
-	}
-}
-
-func BenchmarkExt_QueueEnqDeq(b *testing.B) {
-	sys := benchSys(1)
-	capacity := b.N + 16
-	if capacity > 1<<20 {
-		b.Skip("b.N exceeds the queue arena used for this benchmark")
-	}
-	q := objects.NewQueue(sys, "q", capacity)
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Enqueue(c, uint64(i)+1)
-		q.Dequeue(c)
-	}
-}
-
-func BenchmarkExt_LockAcquireRelease(b *testing.B) {
-	sys := benchSys(1)
-	l := rme.NewLock(sys, "l")
-	c := sys.Proc(1).Ctx()
-	if b.N > objects.MaxFAAValue {
-		b.Skip("b.N exceeds the ticket range")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Acquire(c)
-		l.Release(c)
-	}
-}
-
-func BenchmarkExt_MaxRegWriteMax(b *testing.B) {
-	sys := benchSys(1)
-	m := objects.NewMaxRegister(sys, "m")
-	c := sys.Proc(1).Ctx()
-	if b.N >= objects.MaxRegValue {
-		b.Skip("b.N exceeds the max-register range")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.WriteMax(c, uint64(i)+1)
-	}
-}
-
-func BenchmarkExt_UniversalCounterInc(b *testing.B) {
-	sys := benchSys(1)
-	capacity := b.N + 16
-	if capacity > 1<<17 {
-		b.Skip("b.N exceeds the universal log used for this benchmark (O(n) replay)")
-	}
-	u := nrl.NewUniversal(sys, "u", spec.Counter{}, capacity, []string{"INC"})
-	c := sys.Proc(1).Ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.Invoke(c, "INC")
 	}
 }

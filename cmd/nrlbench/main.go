@@ -1,17 +1,17 @@
-// Command nrlbench regenerates the experiment tables of DESIGN.md
-// Section 5 (E1–E9): the costs of nesting-safe recoverability over raw
-// primitives, scaling, contention, crash rates, strictness, the blocking
-// TAS recovery, checker cost and the persistence-mode ablation.
+// Command nrlbench prints the experiment tables of EXPERIMENTS.md
+// (E1–E10) from rows of the experiments suite (internal/bench): -exp
+// measures the rows its tables read, or renders them from a report file
+// given as the argument, such as the committed BENCH_experiments.json.
 //
 // It is also the front end of the machine-comparable benchmark pipeline
-// (internal/bench): -json runs the memory- and object-level suites and
-// writes schema-versioned BENCH_nvm.json / BENCH_objects.json reports,
-// and -compare diffs two such reports, failing (exit 1) on any ns/op or
-// allocs/op regression beyond -threshold — the CI regression gate.
-// -overhead checks the flight-recorder rows of an objects report against
-// their bare baselines within the same report, failing when the recorder
-// costs more than its budget (bench.RecorderOverheadBudget) or allocates
-// on the record path. -alloccap checks a report against the suite's
+// (internal/bench): -json runs the registered suites and writes
+// schema-versioned BENCH_<suite>.json reports, and -compare diffs two
+// such reports, failing (exit 1) on any ns/op or allocs/op regression
+// beyond -threshold — the CI regression gate. -overhead checks the
+// flight-recorder rows of an objects report against their bare
+// baselines within the same report, failing when the recorder costs
+// more than its budget (bench.RecorderOverheadBudget) or allocates on
+// the record path. -alloccap checks a report against the suite's
 // absolute allocs-per-op caps (bench.AllocCaps — 0 for every row of the
 // objects suite since the frame-arena refactor), failing on any breach
 // or on a capped benchmark missing from the report; unlike -compare,
@@ -20,8 +20,8 @@
 //
 // Usage:
 //
-//	nrlbench [-ops N] [-exp E1,E3,...] [-trace out.jsonl]
-//	nrlbench -json DIR [-suite nvm|objects|all] [-benchops N]
+//	nrlbench [-exp E1,E3,...] [-benchops N] [BENCH_experiments.json]
+//	nrlbench -json DIR [-suite NAME,...|all] [-benchops N]
 //	nrlbench -compare old.json new.json [-threshold 0.15]
 //	nrlbench -overhead BENCH_objects.json
 //	nrlbench -alloccap BENCH_objects.json
@@ -32,12 +32,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"nrl/internal/bench"
-	"nrl/internal/harness"
-	"nrl/internal/trace"
 )
 
 func main() {
@@ -49,12 +47,10 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("nrlbench", flag.ContinueOnError)
-	ops := fs.Int("ops", 20000, "base operation count per measurement")
-	expFlag := fs.String("exp", "all", "comma-separated experiments to run (E1..E10) or 'all'")
-	traceOut := fs.String("trace", "", "write a JSONL event trace of the whole run to this file (skews timings)")
+	expFlag := fs.String("exp", "all", "comma-separated experiment tables to print (E1..E10) or 'all'")
 	jsonDir := fs.String("json", "", "run the benchmark suites and write BENCH_<suite>.json reports into this directory")
-	suite := fs.String("suite", "all", "with -json: which suite to run (nvm, objects, all)")
-	benchOps := fs.Int("benchops", 0, "with -json: total operations per benchmark (0 = default)")
+	suite := fs.String("suite", "all", fmt.Sprintf("with -json: which suites to run (%s, all)", strings.Join(bench.SuiteNames(), ", ")))
+	benchOps := fs.Int("benchops", 0, "total operations per benchmark (0 = the suite's default)")
 	compare := fs.Bool("compare", false, "compare two BENCH_*.json reports (old new) and fail on regressions")
 	threshold := fs.Float64("threshold", bench.DefaultThreshold, "with -compare: relative ns/op growth tolerated before failing")
 	overhead := fs.String("overhead", "", "check the flight-recorder overhead budget within this objects report")
@@ -74,61 +70,46 @@ func run(args []string) error {
 	if *jsonDir != "" {
 		return runSuites(*jsonDir, *suite, *benchOps)
 	}
-	scale := harness.Scale{Ops: *ops}
-	var sink *trace.JSONL
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	return runExperiments(*expFlag, *benchOps, fs.Args())
+}
+
+// runExperiments prints the selected E-tables, from the report file in
+// args when one is given and from a fresh run of the rows they read
+// otherwise.
+func runExperiments(sel string, benchOps int, args []string) error {
+	exps := bench.Experiments()
+	if sel != "all" {
+		var picked []bench.Experiment
+		for _, id := range strings.Split(sel, ",") {
+			i := slices.IndexFunc(exps, func(e bench.Experiment) bool { return strings.EqualFold(e.ID, strings.TrimSpace(id)) })
+			if i < 0 {
+				return fmt.Errorf("unknown experiment %q (have E1..E%d)", id, len(exps))
+			}
+			picked = append(picked, exps[i])
+		}
+		exps = picked
+	}
+	if len(args) > 1 {
+		return fmt.Errorf("at most one report to render, got %d", len(args))
+	}
+	var report *bench.Report
+	if len(args) == 1 {
+		r, err := bench.ReadFile(args[0])
 		if err != nil {
 			return err
 		}
-		sink = trace.NewJSONL(f)
-		scale.Tracer = sink
-	}
-
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for i := 1; i <= 10; i++ {
-			want[fmt.Sprintf("E%d", i)] = true
-		}
+		report = r
 	} else {
-		for _, e := range strings.Split(*expFlag, ",") {
-			want[strings.ToUpper(strings.TrimSpace(e))] = true
+		opts := bench.SuiteOptions("experiments", bench.Options{Ops: benchOps})
+		report = bench.RunSuite("experiments", bench.ExperimentSpecs(exps), opts)
+	}
+	fmt.Printf("%s suite: %s %s/%s, %d CPUs\n\n", report.Suite, report.Go, report.GOOS, report.GOARCH, report.CPUs)
+	for _, e := range exps {
+		t, err := e.Table(report)
+		if err != nil {
+			return err
 		}
-	}
-
-	procs := []int{1, 2, 4, 8}
-	experiments := []struct {
-		id  string
-		run func() *harness.Table
-	}{
-		{"E1", func() *harness.Table { return harness.E1PrimitiveOverhead(scale) }},
-		{"E2", func() *harness.Table { return harness.E2CounterScaling(scale, procs) }},
-		{"E3", func() *harness.Table { return harness.E3CASContention(scale, procs) }},
-		{"E4", func() *harness.Table {
-			return harness.E4CrashRateSweep(scale, []float64{0, 1e-4, 1e-3, 1e-2})
-		}},
-		{"E5", func() *harness.Table { return harness.E5Strictness(scale) }},
-		{"E6", func() *harness.Table { return harness.E6TASRecoveryBlocking(scale, []int{2, 4, 8}) }},
-		{"E7", func() *harness.Table { return harness.E7CheckerCost(scale, []int{120, 600, 1500, 3000}) }},
-		{"E8", func() *harness.Table { return harness.E8PersistenceModes(scale) }},
-		{"E9", func() *harness.Table { return harness.E9CompositeCost(scale) }},
-		{"E10", func() *harness.Table { return harness.E10UniversalAblation(scale) }},
-	}
-	ran := 0
-	for _, e := range experiments {
-		if !want[e.id] {
-			continue
-		}
-		e.run().Fprint(os.Stdout)
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiments selected (got -exp=%q)", *expFlag)
-	}
-	if sink != nil {
-		if err := sink.Close(); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
+		t.Fprint(os.Stdout)
 	}
 	return nil
 }
@@ -140,17 +121,13 @@ func runSuites(dir, suite string, benchOps int) error {
 		return err
 	}
 	suites := bench.Suites()
-	var names []string
-	if suite == "all" {
-		for name := range suites {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-	} else {
+	names := bench.SuiteNames()
+	if suite != "all" {
+		names = nil
 		for _, name := range strings.Split(suite, ",") {
 			name = strings.TrimSpace(name)
 			if _, ok := suites[name]; !ok {
-				return fmt.Errorf("unknown suite %q (have: nvm, objects, persist)", name)
+				return fmt.Errorf("unknown suite %q (have: %s)", name, strings.Join(bench.SuiteNames(), ", "))
 			}
 			names = append(names, name)
 		}

@@ -1,12 +1,14 @@
-// Package bench is the repository's performance-measurement layer: it
-// runs the memory- and object-level benchmark suites in-process,
-// producing schema-versioned, machine-comparable reports
-// (BENCH_nvm.json, BENCH_objects.json) instead of free-form `go test
-// -bench` text.
+// Package bench is the repository's one measurement path: it runs the
+// registered suites (Suites) in-process, producing schema-versioned,
+// machine-comparable reports (BENCH_<suite>.json) instead of free-form
+// `go test -bench` text. The experiments suite holds the rows of
+// EXPERIMENTS.md's E1–E10, and Experiments renders those tables from
+// its report; the root package's BenchmarkSuites runs the same Specs
+// under testing.B.
 //
 // A Report carries, per benchmark: throughput (ns/op), sampled latency
-// percentiles (p50/p99), allocation rates, and the persistence-side
-// rates drawn from nvm.Stats — flushes, fences and fence-drained words
+// percentiles (p50/p99), allocation rates, and the rates drawn from
+// nvm.Stats — NVRAM primitives, flushes, fences and fence-drained words
 // per operation, plus bank-mutex contention — so a perf change shows up
 // together with the mechanical reason for it (e.g. fewer fence words
 // per op after a flush-set change).

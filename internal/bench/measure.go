@@ -27,6 +27,17 @@ type Spec struct {
 	// pair — belong in one group: a noise burst on a shared machine then
 	// lands on both rows instead of inflating one side of the ratio.
 	Group string
+	// Ops, when positive, is this spec's own total operation count and
+	// takes the place of Options.Ops. One-shot and size-dependent rows
+	// need it: a row that builds a fresh object per op, replays an O(n)
+	// log or checks a whole history cannot run at a suite-wide count,
+	// whose 6x-rounds capacity budget (see MeasureGroup) would build
+	// hundreds of thousands of objects.
+	Ops int
+	// MaxProcs, when positive, is GOMAXPROCS while the spec's workers run
+	// (warmup, rounds and latency phase); the collector and the harness
+	// run at the process's own setting.
+	MaxProcs int
 }
 
 // Options tunes a suite run.
@@ -50,6 +61,12 @@ type Options struct {
 	// averaged over all rounds (they are deterministic, so rounds do not
 	// blur them). Zero selects DefaultRounds.
 	Rounds int
+	// Repeats, when above 1, is how many times RunSuite measures the
+	// whole suite, each time over fresh instances; every row keeps the
+	// repeat with its best round. A floor then escapes an unlucky
+	// instance (a memory layout that slows one run of a tight loop by a
+	// third) as well as a slow stretch of the machine.
+	Repeats int
 }
 
 // Default measurement sizes: large enough that per-run fixed costs
@@ -107,6 +124,7 @@ type instance struct {
 	rounds     []float64
 	mallocs    uint64
 	bytes      uint64
+	lastBytes  uint64 // allocated by the latest timed segment
 }
 
 // MeasureGroup runs a set of specs with their throughput rounds
@@ -114,15 +132,15 @@ type instance struct {
 //
 // Each spec's run has two measured phases over one workload instance.
 // The throughput phase runs every worker concurrently with no per-op
-// instrumentation (matching the `go test -bench` convention of this
-// repo's bench_test.go: ns/op is wall time over total operations) and
-// repeats o.Rounds times (more for groups, until the bests converge —
-// see the round loop); the reported ns/op is the best round, and the
-// allocation and nvm.Stats rates are deltas over exactly the spec's own
-// timed segments. Rounds rotate across the group's specs — spec A round
-// 1, spec B round 1, spec A round 2, ... — with the order reversing on
-// every pass, so slow drift and noise bursts of a shared machine land
-// on every spec of the group instead of whichever one was running.
+// instrumentation (the `go test -bench` convention: ns/op is wall time
+// over total operations) and repeats o.Rounds times (more for groups,
+// until the bests converge — see the round loop); the reported ns/op is
+// the best round, and the allocation and nvm.Stats rates are deltas
+// over exactly the spec's own timed segments. Rounds rotate across the
+// group's specs — spec A round 1, spec B round 1, spec A round 2, ... —
+// with the order reversing on every pass, so slow drift and noise
+// bursts of a shared machine land on every spec of the group instead of
+// whichever one was running.
 // The latency phase then times each operation individually — all
 // workers still running concurrently, corrected for calibrated timer
 // overhead — so the percentiles reflect latency under the benchmark's
@@ -143,7 +161,11 @@ func MeasureGroup(specs []Spec, o Options) []Result {
 		if in.workers <= 0 {
 			in.workers = 1
 		}
-		in.per = o.Ops / in.workers
+		ops := o.Ops
+		if s.Ops > 0 {
+			ops = s.Ops
+		}
+		in.per = ops / in.workers
 		if in.per < 1 {
 			in.per = 1
 		}
@@ -165,17 +187,25 @@ func MeasureGroup(specs []Spec, o Options) []Result {
 		// Warm up: a slice of the real workload, so first-touch costs
 		// (slab growth, flush-set registration, scheduler state) are
 		// paid before the measured region.
-		runWorkers(in.fns, warm, nil, 0)
+		in.timed(warm, nil, 0)
 		if in.mem != nil {
 			in.mem.DrainStats()
 		}
 		insts[i] = in
 	}
 
-	// Throughput rounds, interleaved. The collector runs before every
-	// timed segment: a segment's allocations otherwise become GC work
-	// inside whichever segment runs next, which biases any ratio taken
-	// between rows of the group.
+	// Throughput rounds, interleaved. No collection may start inside a
+	// timed segment: a segment's allocations would otherwise become GC
+	// work inside whichever segment runs next, which biases any ratio
+	// taken between rows of the group. So the collector runs before a
+	// segment that could reach the runtime's next collection target —
+	// one whose previous segment allocated at least half the heap's
+	// remaining headroom — and before every spec's first segment; it
+	// also runs once gcSlack bytes were allocated since it last did,
+	// which bounds the heap of a large group. It does not run before the
+	// other segments: over rows whose ops allocate nothing, a collection
+	// per segment would cost a large interleaved group more time than
+	// its rounds.
 	//
 	// Groups run at least o.Rounds rounds and then keep going — to a cap
 	// of 6x — until every row's best has been stale for staleRounds
@@ -188,7 +218,9 @@ func MeasureGroup(specs []Spec, o Options) []Result {
 	if len(insts) > 1 {
 		maxRounds = 6 * o.Rounds
 	}
+	const gcSlack = 16 << 20
 	var ms0, ms1 runtime.MemStats
+	var collected uint64 // TotalAlloc at the last collection
 	lastImprove := make([]int, len(insts))
 	for round := 0; round < maxRounds; round++ {
 		if round >= o.Rounds {
@@ -209,11 +241,13 @@ func MeasureGroup(specs []Spec, o Options) []Result {
 				i = len(insts) - 1 - k
 			}
 			in := insts[i]
-			runtime.GC()
 			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			runWorkers(in.fns, in.per, nil, 0)
-			wall := time.Since(start)
+			if round == 0 || ms0.TotalAlloc-collected > gcSlack || ms0.HeapAlloc+2*in.lastBytes >= ms0.NextGC {
+				runtime.GC()
+				runtime.ReadMemStats(&ms0)
+				collected = ms0.TotalAlloc
+			}
+			wall := in.timed(in.per, nil, 0)
 			runtime.ReadMemStats(&ms1)
 			// An improvement under a fifth of a percent is measurement
 			// grain, not a falling floor; it updates the best without
@@ -225,6 +259,7 @@ func MeasureGroup(specs []Spec, o Options) []Result {
 				in.best = wall
 			}
 			in.rounds = append(in.rounds, float64(wall.Nanoseconds())/float64(in.total))
+			in.lastBytes = ms1.TotalAlloc - ms0.TotalAlloc
 			in.mallocs += ms1.Mallocs - ms0.Mallocs
 			in.bytes += ms1.TotalAlloc - ms0.TotalAlloc
 		}
@@ -243,6 +278,7 @@ func MeasureGroup(specs []Spec, o Options) []Result {
 		res.BytesPerOp = float64(in.bytes) / float64(allOps)
 		if in.mem != nil {
 			st := in.mem.DrainStats()
+			res.MemOpsPerOp = float64(st.Total()) / float64(allOps)
 			res.FlushesPerOp = float64(st.Flushes) / float64(allOps)
 			res.FencesPerOp = float64(st.Fences) / float64(allOps)
 			res.FenceWordsPerOp = float64(st.FenceWords) / float64(allOps)
@@ -253,7 +289,7 @@ func MeasureGroup(specs []Spec, o Options) []Result {
 		if in.samplesPer > 0 {
 			overhead := timerOverhead()
 			lat := make([][]time.Duration, in.workers)
-			runWorkers(in.fns, in.samplesPer, lat, 1)
+			in.timed(in.samplesPer, lat, 1)
 			if all := mergeLatencies(lat, overhead); len(all) > 0 {
 				res.P50Ns = float64(percentile(all, 50))
 				res.P99Ns = float64(percentile(all, 99))
@@ -264,16 +300,35 @@ func MeasureGroup(specs []Spec, o Options) []Result {
 	return results
 }
 
+// timed runs per iterations of every worker at the spec's MaxProcs and
+// returns their wall time, which excludes the GOMAXPROCS switches.
+func (in *instance) timed(per int, lat [][]time.Duration, every int) time.Duration {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(in.spec.MaxProcs))
+	start := time.Now()
+	runWorkers(in.fns, per, lat, every)
+	return time.Since(start)
+}
+
 // runWorkers executes per iterations of every worker concurrently.
 // When lat is non-nil, each worker times every `every`-th operation
 // into lat[w] (preallocated here, so the timed region never grows a
-// slice).
+// slice). A panicking operation is recovered in its worker and
+// re-raised on the caller once every worker has stopped, so the
+// caller's deferred cleanup (the persist suite's store directories)
+// runs instead of the process dying on the worker's goroutine.
 func runWorkers(fns []func(int), per int, lat [][]time.Duration, every int) {
 	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked any
 	for w := range fns {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked = r })
+				}
+			}()
 			fn := fns[w]
 			if lat == nil || every <= 0 {
 				for i := 0; i < per; i++ {
@@ -295,6 +350,9 @@ func runWorkers(fns []func(int), per int, lat [][]time.Duration, every int) {
 		}(w)
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // mergeLatencies pools every worker's samples, corrects each for the
@@ -330,18 +388,34 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 
 // RunSuite measures every spec and assembles the report. Runs of
 // adjacent specs sharing a non-empty Group are measured together with
-// interleaved rounds (see MeasureGroup).
+// interleaved rounds (see MeasureGroup). With o.Repeats above 1 each
+// row reports the repeat with the best round, and RoundsNs holds the
+// rounds of every repeat.
 func RunSuite(suite string, specs []Spec, o Options) *Report {
 	r := newReport(suite)
-	for i := 0; i < len(specs); {
-		j := i + 1
-		if g := specs[i].Group; g != "" {
-			for j < len(specs) && specs[j].Group == g {
-				j++
+	for rep := 0; rep < max(o.Repeats, 1); rep++ {
+		var results []Result
+		for i := 0; i < len(specs); {
+			j := i + 1
+			if g := specs[i].Group; g != "" {
+				for j < len(specs) && specs[j].Group == g {
+					j++
+				}
 			}
+			results = append(results, MeasureGroup(specs[i:j], o)...)
+			i = j
 		}
-		r.Results = append(r.Results, MeasureGroup(specs[i:j], o)...)
-		i = j
+		if rep == 0 {
+			r.Results = results
+			continue
+		}
+		for k, res := range results {
+			rounds := append(r.Results[k].RoundsNs, res.RoundsNs...)
+			if res.NsPerOp < r.Results[k].NsPerOp {
+				r.Results[k] = res
+			}
+			r.Results[k].RoundsNs = rounds
+		}
 	}
 	return r
 }

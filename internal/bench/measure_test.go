@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,11 +120,10 @@ func TestRunSuiteAssemblesReport(t *testing.T) {
 // on, and that every spec is well-formed.
 func TestSuitesRegistry(t *testing.T) {
 	suites := Suites()
-	for _, name := range []string{"nvm", "objects"} {
-		specs, ok := suites[name]
-		if !ok {
-			t.Fatalf("suite %q missing from registry", name)
-		}
+	if got, want := strings.Join(SuiteNames(), ","), "experiments,nvm,objects,persist"; got != want {
+		t.Fatalf("SuiteNames() = %s, want %s", got, want)
+	}
+	for name, specs := range suites {
 		if len(specs) == 0 {
 			t.Fatalf("suite %q is empty", name)
 		}
@@ -148,5 +149,71 @@ func TestSuitesRegistry(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("nvm suite lost BufferedCASPersist/procs=8")
+	}
+}
+
+// TestMeasurePanicReachesCaller: an op's panic must surface on the
+// goroutine that called Measure, where deferred cleanup (nrlbench's
+// CleanupDirs of the persist suite's stores) runs, instead of killing
+// the process from a worker goroutine.
+func TestMeasurePanicReachesCaller(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "op failed" {
+			t.Fatalf("recovered %v, want the op's panic value", r)
+		}
+	}()
+	op := func(i int) {
+		if i == 5 {
+			panic("op failed")
+		}
+	}
+	Measure(Spec{Name: "panics", Workers: 2, Setup: func(int, int) (*nvm.Memory, []func(int)) {
+		return nil, []func(int){op, op}
+	}}, Options{Ops: 100, Samples: -1})
+	t.Fatal("Measure returned after a panicking op")
+}
+
+// TestMaxProcsScopesWorkers: a spec's MaxProcs holds while its workers
+// run, in every phase, and the process's own setting is back after.
+func TestMaxProcsScopesWorkers(t *testing.T) {
+	before := runtime.GOMAXPROCS(0)
+	var seen atomic.Int64
+	op := func(int) {
+		if n := int64(runtime.GOMAXPROCS(0)); n > seen.Load() {
+			seen.Store(n)
+		}
+	}
+	Measure(Spec{Name: "one-core", Workers: 2, MaxProcs: 1, Setup: func(int, int) (*nvm.Memory, []func(int)) {
+		return nil, []func(int){op, op}
+	}}, Options{Ops: 40, Rounds: 2, Samples: 10})
+	if got := seen.Load(); got != 1 {
+		t.Errorf("workers saw GOMAXPROCS %d, want 1", got)
+	}
+	if after := runtime.GOMAXPROCS(0); after != before {
+		t.Errorf("GOMAXPROCS %d after Measure, want %d", after, before)
+	}
+}
+
+// TestRunSuiteRepeatsKeepBest: with Repeats, each repeat measures a
+// fresh instance, a row reports the repeat with the best round (here
+// the middle one of three), and its rounds series holds every repeat's
+// rounds.
+func TestRunSuiteRepeatsKeepBest(t *testing.T) {
+	setups := 0
+	s := Spec{Name: "layout", Workers: 1, Setup: func(int, int) (*nvm.Memory, []func(int)) {
+		if setups++; setups == 2 {
+			return nil, []func(int){func(int) {}}
+		}
+		return nil, []func(int){func(int) { time.Sleep(100 * time.Microsecond) }}
+	}}
+	res := RunSuite("repeats", []Spec{s}, Options{Ops: 10, Rounds: 3, Samples: -1, Repeats: 3}).Results[0]
+	if setups != 3 {
+		t.Errorf("%d setups, want one per repeat", setups)
+	}
+	if res.NsPerOp >= float64(100*time.Microsecond) {
+		t.Errorf("ns/op %.0f: kept a slow repeat", res.NsPerOp)
+	}
+	if len(res.RoundsNs) != 9 {
+		t.Errorf("%d rounds, want 3 per repeat", len(res.RoundsNs))
 	}
 }

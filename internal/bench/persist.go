@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"sync"
 
@@ -20,14 +21,26 @@ const (
 
 // SuiteOptions fills a suite's own measurement defaults into unset
 // fields: the file-backed persist suite cannot amortise at the
-// in-memory suites' operation counts.
+// in-memory suites' operation counts, and the experiments suite runs
+// at the paper-facing tables' own scale.
 func SuiteOptions(suite string, o Options) Options {
-	if suite == "persist" {
+	switch suite {
+	case "persist":
 		if o.Ops <= 0 {
 			o.Ops = persistDefaultOps
 		}
 		if o.Samples == 0 {
 			o.Samples = persistDefaultSamples
+		}
+	case "experiments":
+		if o.Ops <= 0 {
+			o.Ops = experimentsDefaultOps
+		}
+		if o.Rounds <= 0 {
+			o.Rounds = experimentsRounds
+		}
+		if o.Repeats <= 0 {
+			o.Repeats = experimentsRepeats
 		}
 	}
 	return o
@@ -88,15 +101,10 @@ func persistAddrs(grow func(nvm.Addr, uint64)) []nvm.Addr {
 	return addrs
 }
 
-// PersistSuite returns the durable-backend benchmarks ("persist"
-// report): segmented WAL append throughput on a single store, the same
-// with multi-word batches, and leader→follower ship throughput over a
-// three-member replica set. These are the BENCH_persist.json rows the
-// CI regression gate watches.
-func PersistSuite() []Spec {
-	var specs []Spec
-	specs = append(specs, Spec{
-		Name:    "SegmentAppend/words=1",
+// appendRow commits a batch of words per op to one segmented store.
+func appendRow(words int) Spec {
+	return Spec{
+		Name:    fmt.Sprintf("SegmentAppend/words=%d", words),
 		Workers: 1,
 		Setup: func(_, _ int) (*nvm.Memory, []func(int)) {
 			f, err := persist.Open(benchDir(), persistStoreOpts())
@@ -105,32 +113,25 @@ func PersistSuite() []Spec {
 			}
 			addrs := persistAddrs(f.Grow)
 			return nil, []func(int){func(i int) {
-				if err := f.Commit([]nvm.WordUpdate{{Addr: addrs[i%len(addrs)], Val: uint64(i)}}); err != nil {
-					panic("bench: " + err.Error())
-				}
-			}}
-		},
-	})
-	specs = append(specs, Spec{
-		Name:    "SegmentAppend/words=8",
-		Workers: 1,
-		Setup: func(_, _ int) (*nvm.Memory, []func(int)) {
-			f, err := persist.Open(benchDir(), persistStoreOpts())
-			if err != nil {
-				panic("bench: " + err.Error())
-			}
-			addrs := persistAddrs(f.Grow)
-			return nil, []func(int){func(i int) {
-				batch := make([]nvm.WordUpdate, 8)
+				batch := make([]nvm.WordUpdate, words)
 				for k := range batch {
-					batch[k] = nvm.WordUpdate{Addr: addrs[(i*8+k)%len(addrs)], Val: uint64(i)}
+					batch[k] = nvm.WordUpdate{Addr: addrs[(i*words+k)%len(addrs)], Val: uint64(i)}
 				}
 				if err := f.Commit(batch); err != nil {
 					panic("bench: " + err.Error())
 				}
 			}}
 		},
-	})
+	}
+}
+
+// PersistSuite returns the durable-backend benchmarks ("persist"
+// report): segmented WAL append throughput on a single store, the same
+// with multi-word batches, and leader→follower ship throughput over a
+// three-member replica set. These are the BENCH_persist.json rows the
+// CI regression gate watches.
+func PersistSuite() []Spec {
+	specs := []Spec{appendRow(1), appendRow(8)}
 	specs = append(specs, Spec{
 		Name:    "ReplicaShip/replicas=3/words=1",
 		Workers: 1,

@@ -17,7 +17,7 @@ const Schema = "nrl-bench/1"
 type Report struct {
 	// Schema is always the package's Schema constant.
 	Schema string `json:"schema"`
-	// Suite names the benchmark suite ("nvm" or "objects").
+	// Suite names the benchmark suite: a key of Suites().
 	Suite string `json:"suite"`
 	// Go, GOOS, GOARCH and CPUs record the environment the numbers were
 	// taken in; Compare warns when they differ between reports.
@@ -57,6 +57,11 @@ type Result struct {
 	// harness's own fixed costs amortised over Ops.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+	// MemOpsPerOp is the nvm.Stats Total() delta per operation: the
+	// NVRAM primitives (reads, writes, CAS, TAS, FAA) one operation
+	// issues — the algorithmic cost of recoverability, retries and
+	// recovery work, independent of the machine's speed.
+	MemOpsPerOp float64 `json:"mem_ops_per_op"`
 	// FlushesPerOp, FencesPerOp and FenceWordsPerOp are nvm.Stats
 	// deltas per operation: how much persistence traffic one operation
 	// issues and how many words its fences actually drain.

@@ -31,6 +31,7 @@ func goldenReport() *Report {
 				P99Ns:           78,
 				AllocsPerOp:     0.0001,
 				BytesPerOp:      8.5,
+				MemOpsPerOp:     2,
 				FlushesPerOp:    1,
 				FencesPerOp:     1,
 				FenceWordsPerOp: 1,
@@ -89,7 +90,7 @@ func TestReportGoldenRequiredKeys(t *testing.T) {
 	}
 	for _, key := range []string{
 		"name", "ops", "ns_per_op", "p50_ns", "p99_ns",
-		"allocs_per_op", "bytes_per_op",
+		"allocs_per_op", "bytes_per_op", "mem_ops_per_op",
 		"flushes_per_op", "fences_per_op", "fence_words_per_op",
 		"shard_contention",
 	} {

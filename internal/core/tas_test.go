@@ -377,3 +377,48 @@ func TestTASReadableBaseVariant(t *testing.T) {
 		}
 	})
 }
+
+// TestTASCrashedContenderOutstepsCrashFree is E6's count side (the cost
+// Theorem 4 proves unavoidable): with every contender crashing right
+// after the critical t&s (line 9), exactly one process still wins, and
+// a crashed contender — whose recovery waits out every process still
+// mid-operation — takes more steps than the crash-free per-process mean.
+func TestTASCrashedContenderOutstepsCrashFree(t *testing.T) {
+	// meanSteps runs one T&S per process under a seeded controlled
+	// schedule and averages the steps of the crashed processes (of all
+	// processes when crash is false).
+	meanSteps := func(n int, seed int64, crash bool) float64 {
+		var inj proc.Multi
+		for p := 1; crash && p <= n; p++ {
+			inj = append(inj, &proc.AtLine{Proc: p, Obj: "t", Op: "T&S", Line: 9})
+		}
+		sys, rec := newSys(inj, n, proc.NewControlled(proc.RandomPicker(seed)))
+		o := core.NewTAS(sys, "t")
+		rets := make([]uint64, n+1)
+		bodies := map[int]func(*proc.Ctx){}
+		for p := 1; p <= n; p++ {
+			bodies[p] = func(c *proc.Ctx) { rets[c.P()] = o.TestAndSet(c) }
+		}
+		sys.Run(bodies)
+		checkUniqueWinner(t, rets[1:])
+		mustNRL(t, tasModels(), rec.History())
+		var steps, counted uint64
+		for p := 1; p <= n; p++ {
+			if !crash || sys.Proc(p).Crashes() > 0 {
+				steps, counted = steps+sys.Proc(p).Steps(), counted+1
+			}
+		}
+		if counted == 0 {
+			t.Fatalf("n=%d seed=%d: no contender reached the crash line", n, seed)
+		}
+		return float64(steps) / float64(counted)
+	}
+	for _, n := range []int{2, 4, 8} {
+		for seed := int64(1); seed <= 5; seed++ {
+			if free, crashed := meanSteps(n, seed, false), meanSteps(n, seed, true); crashed <= free {
+				t.Errorf("n=%d seed=%d: crashed contender took %.1f steps, crash-free mean %.1f; want more",
+					n, seed, crashed, free)
+			}
+		}
+	}
+}

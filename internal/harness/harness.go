@@ -1,19 +1,13 @@
-// Package harness drives the repository's experiment suite (DESIGN.md
-// Section 5, experiments E1–E8) and renders results as tables. The same
-// workloads back the testing.B benchmarks at the repository root; this
-// package adds wall-clock measurement and table output for cmd/nrlbench.
-//
-// The paper (PODC 2018) has no empirical evaluation section; every
-// experiment here operationalises a quantitative claim or design
-// discussion from the paper, as catalogued in DESIGN.md, with expected
-// shapes recorded against measurements in EXPERIMENTS.md.
+// Package harness holds the named checkable workloads shared by
+// cmd/nrlcheck, cmd/nrlsweep and cmd/nrlchaos, and the plain-text
+// Table the CLIs print: nrlstat's profile tables and nrlbench's
+// experiment tables, whose rows internal/bench measures.
 package harness
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // Table is a rendered experiment result.
@@ -79,15 +73,4 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// timeOps runs f once and returns nanoseconds per operation for ops
-// operations. Many workloads are not idempotent (one-shot TAS objects,
-// distinct-value requirements, arena capacities), so repetition is the
-// caller's responsibility; comparisons sensitive to warmup noise (E5)
-// measure over several rounds of fresh objects and take minima.
-func timeOps(ops int, f func()) float64 {
-	start := time.Now()
-	f()
-	return float64(time.Since(start).Nanoseconds()) / float64(ops)
 }

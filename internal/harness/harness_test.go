@@ -22,58 +22,3 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 }
-
-// TestExperimentsRunTiny exercises every experiment at a tiny scale so
-// the harness code paths stay correct.
-func TestExperimentsRunTiny(t *testing.T) {
-	scale := Scale{Ops: 300}
-	tables := []*Table{
-		E1PrimitiveOverhead(scale),
-		E2CounterScaling(scale, []int{1, 2}),
-		E3CASContention(scale, []int{1, 2}),
-		E4CrashRateSweep(scale, []float64{0, 1e-3}),
-		E5Strictness(scale),
-		E6TASRecoveryBlocking(scale, []int{2, 3}),
-		E7CheckerCost(scale, []int{60, 120}),
-		E8PersistenceModes(scale),
-		E9CompositeCost(scale),
-		E10UniversalAblation(scale),
-	}
-	for _, tab := range tables {
-		if tab.Title == "" {
-			t.Error("experiment produced an untitled table")
-		}
-		if len(tab.Rows) == 0 {
-			t.Errorf("%s: no rows", tab.Title)
-		}
-		for _, row := range tab.Rows {
-			if len(row) != len(tab.Columns) {
-				t.Errorf("%s: row %v has %d cells, want %d", tab.Title, row, len(row), len(tab.Columns))
-			}
-			for _, cell := range row {
-				if strings.Contains(cell, "FAILED") || strings.Contains(cell, "NO (") {
-					t.Errorf("%s: failing cell %q", tab.Title, cell)
-				}
-			}
-		}
-	}
-}
-
-// TestE6UniqueWinnerColumn: E6 must report exactly one winner per round.
-func TestE6UniqueWinnerColumn(t *testing.T) {
-	tab := E6TASRecoveryBlocking(Scale{}, []int{2})
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "1" {
-			t.Errorf("E6 row %v: winners = %s, want 1", row, row[len(row)-1])
-		}
-	}
-}
-
-func TestScaleDefault(t *testing.T) {
-	if got := (Scale{}).ops(); got != 20000 {
-		t.Errorf("default ops = %d, want 20000", got)
-	}
-	if got := (Scale{Ops: 7}).ops(); got != 7 {
-		t.Errorf("ops = %d, want 7", got)
-	}
-}

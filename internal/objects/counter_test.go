@@ -311,3 +311,25 @@ func TestCompositeOpAccessors(t *testing.T) {
 	}
 	mustNRL(t, rec.History())
 }
+
+// TestCounterExactlyOnceAcrossCrashRates is E4's correctness side:
+// under random crashes at every rate of the sweep, each INC takes
+// effect exactly once, so the final READ equals the INCs issued.
+func TestCounterExactlyOnceAcrossCrashRates(t *testing.T) {
+	const incs = 10_000
+	for _, rate := range []float64{1e-4, 1e-3, 1e-2} {
+		inj := &proc.Random{Rate: rate, Seed: 42}
+		sys := proc.NewSystem(proc.Config{Procs: 1, Injector: inj})
+		ctr := objects.NewCounter(sys, "ctr")
+		c := sys.Proc(1).Ctx()
+		for i := 0; i < incs; i++ {
+			ctr.Inc(c)
+		}
+		if got := ctr.Read(c); got != incs {
+			t.Errorf("rate %g: counter = %d after %d INCs", rate, got, incs)
+		}
+		if inj.Crashes() == 0 {
+			t.Errorf("rate %g: no crash injected; the sweep point tests nothing", rate)
+		}
+	}
+}

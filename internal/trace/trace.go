@@ -15,8 +15,8 @@
 // Sinks implement the Tracer interface. Three are provided:
 //
 //   - Nop: discards events. A nil Tracer in proc.Config disables event
-//     construction entirely; Nop exists to measure the cost of the
-//     emission path itself (see BenchmarkTracerOverhead).
+//     construction entirely, and Nop normalizes to nil at install (see
+//     Active), so tracing to Nop costs what tracing off does.
 //   - Ring: a bounded in-memory ring buffer, for building profiles.
 //   - JSONL: a buffered writer emitting one JSON object per line.
 //
