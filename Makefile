@@ -45,10 +45,11 @@ bench:
 # Re-run the suites into a scratch directory and gate against the
 # committed baselines (>15% ns/op growth, a new allocation, or a
 # vanished benchmark fails), then hold the flight-recorder rows to their
-# overhead budget and the objects suite to its absolute allocs-per-op
-# caps (0 per row since the frame-arena refactor — the absolute gate
-# needs no baseline, so an allocating baseline can never grandfather an
-# allocation in) within the fresh report.
+# overhead budget and the objects and persist suites to their absolute
+# allocs-per-op caps (bench.AllocCaps: 0 per objects row since the
+# frame-arena refactor — the absolute gate needs no baseline, so an
+# allocating baseline can never grandfather an allocation in) within
+# the fresh report.
 bench-check:
 	rm -rf bench-out && mkdir -p bench-out
 	$(GO) run ./cmd/nrlbench -json bench-out
@@ -58,6 +59,7 @@ bench-check:
 	$(GO) run ./cmd/nrlbench -compare BENCH_persist.json bench-out/BENCH_persist.json
 	$(GO) run ./cmd/nrlbench -overhead bench-out/BENCH_objects.json
 	$(GO) run ./cmd/nrlbench -alloccap bench-out/BENCH_objects.json
+	$(GO) run ./cmd/nrlbench -alloccap bench-out/BENCH_persist.json
 
 # Every suite's specs under testing.B (bench_test.go's BenchmarkSuites)
 # for interactive work; the committed BENCH_*.json baselines come from

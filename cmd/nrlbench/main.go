@@ -13,7 +13,8 @@
 // more than its budget (bench.RecorderOverheadBudget) or allocates on
 // the record path. -alloccap checks a report against the suite's
 // absolute allocs-per-op caps (bench.AllocCaps — 0 for every row of the
-// objects suite since the frame-arena refactor), failing on any breach
+// objects suite since the frame-arena refactor, a per-row cap for the
+// persist suite), failing on any breach
 // or on a capped benchmark missing from the report; unlike -compare,
 // this gate needs no baseline, so a baseline that itself allocates can
 // never grandfather an allocation in.
@@ -24,7 +25,7 @@
 //	nrlbench -json DIR [-suite NAME,...|all] [-benchops N]
 //	nrlbench -compare old.json new.json [-threshold 0.15]
 //	nrlbench -overhead BENCH_objects.json
-//	nrlbench -alloccap BENCH_objects.json
+//	nrlbench -alloccap BENCH_objects.json|BENCH_persist.json
 package main
 
 import (

@@ -59,6 +59,21 @@ func TestGateAllocCaps(t *testing.T) {
 	}
 }
 
+// TestAllocCapsNamePersistRows: every persist cap names a row the suite
+// produces, and every row is capped.
+func TestAllocCapsNamePersistRows(t *testing.T) {
+	caps := AllocCaps("persist")
+	rows := Suites()["persist"]
+	if len(caps) != len(rows) {
+		t.Fatalf("%d persist caps for %d rows", len(caps), len(rows))
+	}
+	for _, b := range rows {
+		if _, ok := caps[b.Name]; !ok {
+			t.Errorf("persist row %q has no cap", b.Name)
+		}
+	}
+}
+
 // TestAllocCapsCoverObjectsSuite keeps the registered cap set honest
 // against the suite definition: every capped name must be a benchmark
 // the objects suite actually produces, so a renamed benchmark cannot

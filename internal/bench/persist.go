@@ -101,37 +101,48 @@ func persistAddrs(grow func(nvm.Addr, uint64)) []nvm.Addr {
 	return addrs
 }
 
-// appendRow commits a batch of words per op to one segmented store.
-func appendRow(words int) Spec {
+// appendRow commits a batch of words per op to one segmented store
+// from each of procs workers at once. Worker w commits to its own
+// stride of the address cycle, as one process of a durable program
+// fences its own words.
+func appendRow(words, procs int) Spec {
+	name := fmt.Sprintf("SegmentAppend/words=%d", words)
+	if procs > 1 {
+		name += fmt.Sprintf("/procs=%d", procs)
+	}
 	return Spec{
-		Name:    fmt.Sprintf("SegmentAppend/words=%d", words),
-		Workers: 1,
-		Setup: func(_, _ int) (*nvm.Memory, []func(int)) {
+		Name:    name,
+		Workers: procs,
+		Setup: func(workers, _ int) (*nvm.Memory, []func(int)) {
 			f, err := persist.Open(benchDir(), persistStoreOpts())
 			if err != nil {
 				panic("bench: " + err.Error())
 			}
 			addrs := persistAddrs(f.Grow)
-			return nil, []func(int){func(i int) {
-				batch := make([]nvm.WordUpdate, words)
-				for k := range batch {
-					batch[k] = nvm.WordUpdate{Addr: addrs[(i*words+k)%len(addrs)], Val: uint64(i)}
+			ops := make([]func(int), workers)
+			for w := range ops {
+				ops[w] = func(i int) {
+					batch := make([]nvm.WordUpdate, words)
+					for k := range batch {
+						batch[k] = nvm.WordUpdate{Addr: addrs[((i*workers+w)*words+k)%len(addrs)], Val: uint64(i)}
+					}
+					if err := f.Commit(batch); err != nil {
+						panic("bench: " + err.Error())
+					}
 				}
-				if err := f.Commit(batch); err != nil {
-					panic("bench: " + err.Error())
-				}
-			}}
+			}
+			return nil, ops
 		},
 	}
 }
 
 // PersistSuite returns the durable-backend benchmarks ("persist"
 // report): segmented WAL append throughput on a single store, the same
-// with multi-word batches, and leader→follower ship throughput over a
-// three-member replica set. These are the BENCH_persist.json rows the
-// CI regression gate watches.
+// with multi-word batches and with two committers whose syncs overlap,
+// and leader→follower ship throughput over a three-member replica set.
+// These are the BENCH_persist.json rows the CI regression gate watches.
 func PersistSuite() []Spec {
-	specs := []Spec{appendRow(1), appendRow(8)}
+	specs := []Spec{appendRow(1, 1), appendRow(8, 1), appendRow(1, 2)}
 	specs = append(specs, Spec{
 		Name:    "ReplicaShip/replicas=3/words=1",
 		Workers: 1,

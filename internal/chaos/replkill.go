@@ -362,7 +362,9 @@ func (s *replWorkerState) Write(p []byte) (int, error) {
 }
 
 // corruptReplicaDir flips a burst of random bytes in every file of one
-// replica directory (seeded). Missing or empty directories are a no-op.
+// replica directory (seeded), inside each file's written extent — up to
+// its last non-zero byte, which leaves out a WAL segment's preallocated
+// zero tail. Missing or empty directories are a no-op.
 func corruptReplicaDir(dir string, rng *vclock.Rand) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -377,14 +379,15 @@ func corruptReplicaDir(dir string, rng *vclock.Rand) error {
 		}
 		path := filepath.Join(dir, e.Name())
 		b, err := os.ReadFile(path)
-		if err != nil || len(b) == 0 {
+		written := len(bytes.TrimRight(b, "\x00"))
+		if err != nil || written == 0 {
 			continue
 		}
 		// A handful of single-bit and whole-byte flips per file, so
 		// damage lands in headers, records and checksums alike.
 		flips := 1 + rng.Intn(8)
 		for i := 0; i < flips; i++ {
-			off := rng.Intn(len(b))
+			off := rng.Intn(written)
 			if rng.Intn(2) == 0 {
 				b[off] ^= 1 << uint(rng.Intn(8))
 			} else {

@@ -37,7 +37,10 @@ type Backend interface {
 	// crash at any point, recovery observes either the whole batch or
 	// none of it. A non-nil error means the batch could not be made
 	// durable (even after the backend's own retries); the Memory reacts
-	// by degrading to read-only.
+	// by degrading to read-only. Fences of different processes may call
+	// Commit concurrently. Commit must not retain the batch: its backing
+	// array is the fencing process's flush buffer, reused by its next
+	// flush.
 	Commit(batch []WordUpdate) error
 
 	// Close releases the backend's resources. It does not flush:

@@ -422,7 +422,7 @@ func (m *Memory) FlushAt(a Addr, at trace.Attr) {
 			fs.entries = fs.entries[:0]
 			fs.epoch = e
 		}
-		fs.entries = append(fs.entries, flushEntry{a: a, v: v}) //nrl:ignore amortized append into a per-epoch buffer reused across fences
+		fs.entries = append(fs.entries, WordUpdate{Addr: a, Val: v}) //nrl:ignore amortized append into a per-epoch buffer reused across fences
 		if shared {
 			fs.mu.Unlock()
 		}
@@ -522,7 +522,7 @@ func (m *Memory) drainFlushes(p int) error {
 	for i, e := range entries {
 		last := true
 		for _, later := range entries[i+1:] {
-			if later.a == e.a {
+			if later.Addr == e.Addr {
 				last = false
 				break
 			}
@@ -533,16 +533,12 @@ func (m *Memory) drainFlushes(p int) error {
 	}
 	var banks shardBitmap
 	for _, e := range batch {
-		si, _ := slotOf(e.a)
+		si, _ := slotOf(e.Addr)
 		banks.add(si)
 	}
 	banks.lockAll(&m.shards, &m.stats)
 	if m.backend != nil {
-		updates := make([]WordUpdate, len(batch)) //nrl:ignore backend shipping path; only taken with a replica attached
-		for i, e := range batch {
-			updates[i] = WordUpdate{Addr: e.a, Val: e.v}
-		}
-		if err := m.backend.Commit(updates); err != nil {
+		if err := m.backend.Commit(batch); err != nil {
 			banks.unlockAll(&m.shards)
 			return err
 		}
@@ -564,13 +560,13 @@ func (m *Memory) drainFlushes(p int) error {
 // the word's bank mutex held so the batch is atomic against CrashAll,
 // while a single-word drain needs no lock. State-machine maintenance
 // runs only for phase-hooked memories (see dirtied).
-func (m *Memory) applyPersist(e flushEntry) {
-	w := m.wordAt(e.a)
-	w.persisted.Store(e.v)
+func (m *Memory) applyPersist(e WordUpdate) {
+	w := m.wordAt(e.Addr)
+	w.persisted.Store(e.Val)
 	if m.phase == nil {
 		return
 	}
-	if w.val.Load() == e.v {
+	if w.val.Load() == e.Val {
 		w.state.Store(wordClean)
 	} else {
 		w.state.Store(wordDirty)

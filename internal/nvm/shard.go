@@ -54,7 +54,7 @@ const (
 // while a phase hook is installed (it exists purely for phase
 // accounting) and a multi-word fence still takes the bank mutexes so
 // its persisted advances are atomic against CrashAll. The value a flush
-// captured lives in the flushing process's flush set (flushEntry), not
+// captured lives in the flushing process's flush set (a WordUpdate), not
 // in the word: two processes flushing the same word capture
 // independently, exactly like two CPUs each CLWB-ing a line out of
 // their own write buffers.
@@ -141,13 +141,6 @@ func shardSlots(si, n int) int {
 	return (n - si + shardMask) / ShardCount
 }
 
-// flushEntry is one pending flush in a process's flush set: the target
-// word and the value captured at flush time.
-type flushEntry struct {
-	a Addr
-	v uint64
-}
-
 // flushSet is the per-process persistence tracking state ("Tracking in
 // Order to Recover", Attiya et al. 2019, applied to the persistence
 // domain): the flushes process p has issued since its last fence. A
@@ -165,9 +158,12 @@ type flushEntry struct {
 // all unattributed raw accesses and is the one set guarded by its
 // mutex.
 type flushSet struct {
-	mu      sync.Mutex // set 0 only; owner-exclusive sets never lock
-	epoch   uint64     // Memory.crashEpoch value the entries belong to
-	entries []flushEntry
+	mu    sync.Mutex // set 0 only; owner-exclusive sets never lock
+	epoch uint64     // Memory.crashEpoch value the entries belong to
+	// entries are the pending flushes: each the target word and the value
+	// captured at flush time. A fence hands its deduplicated prefix to
+	// Backend.Commit as the batch.
+	entries []WordUpdate
 }
 
 // flushSetFor returns process p's flush set, growing the registry on

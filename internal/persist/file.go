@@ -6,8 +6,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nrl/internal/nvm"
@@ -46,11 +47,13 @@ type Options struct {
 	Sleep func(time.Duration)
 	// Inject, when non-nil, is consulted before every physical I/O
 	// attempt with the operation name — "wal.append", "wal.fsync",
-	// "seg.create", "seg.remove", "manifest.write", "manifest.rename",
-	// "data.pwrite", "data.fsync", "data.read", "snap.install",
-	// "bbox.pwrite" or "bbox.fsync" — and a non-nil return fails that
-	// attempt. It is the failpoint hook the degradation and replica
-	// fault tests drive.
+	// "seg.create", "seg.trim", "seg.remove", "manifest.write",
+	// "manifest.rename", "data.pwrite", "data.fsync", "data.read",
+	// "snap.install", "bbox.pwrite" or "bbox.fsync" — and a non-nil
+	// return fails that attempt. It is the failpoint hook the
+	// degradation and replica fault tests drive. On Linux File.Commit
+	// syncs outside the store lock, so concurrent commits call it for
+	// "wal.fsync" concurrently.
 	Inject func(op string) error
 	// Tracer, when non-nil, receives one MemCommit event per commit
 	// (latency, batch size, retries) and one MemDegraded on
@@ -61,8 +64,9 @@ type Options struct {
 	// MidCommit while data pages are rewritten in place.
 	PhaseHook func(nvm.Phase)
 	// SegmentBytes is the size beyond which the active WAL segment is
-	// rotated — fsynced, then succeeded by a fresh segment at the next
-	// index (default 64 KiB).
+	// rotated — succeeded, once every record on it is durable, by a fresh
+	// segment at the next index (default 64 KiB). Segments are created
+	// preallocated to this size plus segSlack where the platform can.
 	SegmentBytes int64
 	// CheckpointBytes is the total live WAL size beyond which a commit
 	// checkpoints — fsync the data file, persist the manifest, retire
@@ -85,14 +89,16 @@ type Options struct {
 }
 
 // Shipper observes a store's commit pipeline for replication. All hooks
-// run under the store's lock, in commit order.
+// run under the store's lock; Append and Fence each see sequences in
+// increasing order, though commits overlapping on one store may run
+// another record's Append between a record's Append and its Fence.
 type Shipper interface {
 	// Append delivers one committed record's encoded bytes right after
-	// the local segment append, before the local fsync.
+	// the local segment append, before the local sync.
 	Append(seq, epoch uint64, rec []byte)
-	// Fence runs after the local WAL fsync lands — the point where the
-	// record is durable on this store and a replica set may count it
-	// toward quorum.
+	// Fence runs once the record and every earlier one are durable on
+	// this store — the point where a replica set may count it toward
+	// quorum.
 	Fence(seq uint64)
 	// Checkpoint runs after a checkpoint folds the log into the data
 	// file; snapshotSeq is the sequence the data file now carries.
@@ -140,32 +146,45 @@ func (o Options) withDefaults() Options {
 // budget, consulting the failpoint hook before each attempt. It is
 // shared by the store, the manifest writer, and follower mirrors; each
 // owner holds its own so the lifetime retry counts stay attributable.
+// The count is atomic because File.Commit syncs outside its lock.
 type retrier struct {
 	opts    Options
-	retries uint64
+	retries atomic.Uint64
 }
 
-func (r *retrier) run(op string, fn func() error) error {
+// run performs one physical I/O: a failure of the hook or of fn is
+// retried until the budget is spent.
+func (r *retrier) run(op string, fn func() error) error { return r.do(op, fn, true) }
+
+// runSync performs one sync syscall. A hook failure, which precedes the
+// syscall, is retried like any other; the syscall's own failure is
+// returned at once. After a writeback error the kernel may already have
+// marked the failed pages clean, so a retried sync can succeed over data
+// that never reached the disk.
+func (r *retrier) runSync(op string, fn func() error) error { return r.do(op, fn, false) }
+
+func (r *retrier) do(op string, fn func() error, retryFn bool) error {
 	delay := r.opts.BaseDelay
 	var err error
 	for attempt := 0; attempt <= r.opts.Retries; attempt++ {
 		if attempt > 0 {
-			r.retries++
+			r.retries.Add(1)
 			r.opts.Sleep(delay)
 			delay *= 2
 			if delay > r.opts.MaxDelay {
 				delay = r.opts.MaxDelay
 			}
 		}
-		err = nil
 		if r.opts.Inject != nil {
-			err = r.opts.Inject(op)
+			if err = r.opts.Inject(op); err != nil {
+				continue
+			}
 		}
-		if err == nil {
-			err = fn()
-		}
-		if err == nil {
+		if err = fn(); err == nil {
 			return nil
+		}
+		if !retryFn {
+			return fmt.Errorf("%s failed: %w", op, err)
 		}
 	}
 	return fmt.Errorf("%s failed after %d attempts: %w", op, r.opts.Retries+1, err)
@@ -217,18 +236,36 @@ type File struct {
 	trc  trace.Tracer
 	ship Shipper
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// cond, on mu, announces every commit completion and every lifted
+	// hold.
+	cond     sync.Cond
 	data     *os.File
 	seg      *os.File // active WAL segment
 	segIndex uint32
-	segSize  int64    // active segment size, header included
-	logBytes int64    // total live chain size across segments
-	bbox     *os.File // flight-recorder region; nil without Options.BlackBox
-	img      []uint64 // current committed+growing word image
-	covered  []bool   // per page: a durable image exists (data or WAL)
-	seq      uint64   // last committed record sequence
-	epoch    uint64   // replication epoch (manifest-backed)
-	snapSeq  uint64   // sequence the data file is checkpointed at
+	segSize  int64          // active segment's append offset, header included
+	logBytes int64          // total live chain size across segments
+	bbox     *os.File       // flight-recorder region; nil without Options.BlackBox
+	img      []uint64       // current committed+growing word image
+	covered  []bool         // per page: an appended record or the data file carries an image
+	queued   []bool         // per page: listed in pending
+	pending  []uint32       // pages whose rewrite waits until no commit is in flight
+	idxs     []uint32       // one commit's page list, reused
+	pageBuf  [PageSize]byte // writePendingLocked's page image
+	seq      uint64         // last record sequence appended
+	done     uint64         // last sequence whose commit completed; so did every lower one
+	inflight int            // commits appended and not yet completed
+	// spare holds open file descriptions of the active segment, each
+	// free for one commit's sync (see takeSyncFileLocked).
+	spare []*os.File
+	// hold counts the parties waiting for inflight to drain — a due
+	// rotation or checkpoint, SetEpoch, Snapshot, RecordsSince, Close;
+	// no commit appends while it is positive. due marks the commit-path
+	// one.
+	hold     int
+	due      bool
+	epoch    uint64 // replication epoch (manifest-backed)
+	snapSeq  uint64 // sequence the data file is checkpointed at
 	degraded error
 	report   RecoveryReport
 	ret      retrier
@@ -255,6 +292,7 @@ func Open(dir string, opts Options) (*File, error) {
 	}
 	f := &File{dir: dir, opts: opts, trc: trace.Active(opts.Tracer), data: data,
 		ret: retrier{opts: opts}}
+	f.cond.L = &f.mu
 	if opts.BlackBox != nil {
 		f.bbox, err = os.OpenFile(filepath.Join(dir, BlackBoxName), os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
@@ -275,6 +313,7 @@ func Open(dir string, opts Options) (*File, error) {
 	// The shipper activates only after recovery: Open's internal fold
 	// checkpoint is local housekeeping, not replicated history.
 	f.ship = opts.Shipper
+	f.done = f.seq
 	return f, nil
 }
 
@@ -302,7 +341,7 @@ func (f *File) Err() error {
 func (f *File) Metrics() (commits, retries, checkpoints uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.commits, f.ret.retries, f.checkpoints
+	return f.commits, f.ret.retries.Load(), f.checkpoints
 }
 
 // Seq returns the last committed record sequence — the store's durable
@@ -310,7 +349,7 @@ func (f *File) Metrics() (commits, retries, checkpoints uint64) {
 func (f *File) Seq() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.seq
+	return f.done
 }
 
 // Epoch returns the replication epoch the store last served under.
@@ -358,100 +397,216 @@ func (f *File) growLocked(a int) {
 	}
 	for len(f.covered) <= a/PayloadWords {
 		f.covered = append(f.covered, false)
+		f.queued = append(f.queued, false)
 	}
 }
 
-// Commit implements nvm.Backend: one WAL record append + fsync (the
-// atomic commit point), then in-place page rewrites, then a checkpoint
-// or segment rotation if the log has grown past its thresholds.
+// Commit implements nvm.Backend. Under the store lock it appends one
+// WAL record at the active segment's tail, so records reach the file in
+// sequence order. It syncs the segment outside the lock (on Linux; see
+// syncOutsideLock), through an open file description of its own,
+// overlapping the syncs of concurrent commits. Back under the lock it
+// completes in sequence order: a commit succeeds only once its own sync
+// and every earlier commit's have. The commit that leaves none in flight
+// rewrites the queued data pages and runs a due rotation or checkpoint.
 func (f *File) Commit(batch []nvm.WordUpdate) error {
+	start := time.Now() //nrl:ignore telemetry timestamp: commit latency for the MemCommit trace event, never a scheduling input
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	for f.hold > 0 && f.degraded == nil {
+		f.cond.Wait()
+	}
 	if f.degraded != nil {
 		return f.degraded
 	}
-	start := time.Now() //nrl:ignore telemetry timestamp: commit latency for the MemCommit trace event, never a scheduling input
-	retriesBefore := f.ret.retries
+	retriesBefore := f.ret.retries.Load()
+	// The sync's file is taken before the record is written; see
+	// takeSyncFileLocked.
+	sf, err := f.takeSyncFileLocked()
+	if err != nil {
+		return f.degradeLocked(err)
+	}
+	if err := f.appendLocked(batch); err != nil {
+		f.spare = append(f.spare, sf)
+		return f.degradeLocked(err)
+	}
+	seq := f.seq
+	f.inflight++
+	if syncOutsideLock {
+		f.mu.Unlock()
+	}
+	err = f.ret.runSync("wal.fsync", func() error { return syncSegment(sf) })
+	if syncOutsideLock {
+		f.mu.Lock()
+	}
+	f.spare = append(f.spare, sf)
+	if err != nil {
+		f.degradeLocked(err)
+	}
+	// This sync saw every error on this record's pages (on Linux; see
+	// takeSyncFileLocked), but one on an earlier record's pages reaches
+	// that record's own sync: wait for every earlier commit, and fail if
+	// any of them did.
+	for f.done != seq-1 && f.degraded == nil {
+		f.cond.Wait()
+	}
+	if f.degraded == nil {
+		f.done = seq
+		if f.ship != nil {
+			f.ship.Fence(seq)
+		}
+		f.hook(nvm.PhaseFenced)
+		f.commits++
+	}
+	f.inflight--
+	if f.inflight == 0 {
+		f.quiescentLocked()
+	}
+	f.cond.Broadcast()
+	if f.degraded != nil {
+		return f.degraded
+	}
+	if f.trc != nil {
+		f.trc.Emit(trace.Event{
+			Kind:    trace.MemCommit,
+			Addr:    int32(nvm.InvalidAddr),
+			Ret:     uint64(len(batch)),
+			Attempt: int(f.ret.retries.Load() - retriesBefore),
+			DurUS:   uint64(time.Since(start).Microseconds()), //nrl:ignore telemetry timestamp: trace-event latency attribution only
+		})
+	}
+	return nil
+}
 
+// appendLocked assigns the next sequence to batch, applies it to the
+// image, writes its record at the segment tail, and runs what must
+// precede the record's sync: the shipper's Append and the black-box
+// rewrite. Its pages join the rewrite queue, and a rotation or
+// checkpoint the record makes due holds back later commits.
+func (f *File) appendLocked(batch []nvm.WordUpdate) error {
 	f.seq++
 	// The commit marker rides the very fence it describes: it is in the
 	// ring before the region sync below, which lands before the WAL
-	// fsync that makes this commit durable.
+	// sync that makes this commit durable.
 	if cr, ok := f.opts.BlackBox.(interface{ RecordCommit(seq, words uint64) }); ok {
 		cr.RecordCommit(f.seq, uint64(len(batch)))
 	}
-	pages := map[uint32]bool{}
+	idxs := f.idxs[:0]
 	for _, u := range batch {
 		f.growLocked(int(u.Addr))
 		f.img[u.Addr] = u.Val
-		pages[uint32(int(u.Addr)/PayloadWords)] = true
+		idxs = append(idxs, uint32(int(u.Addr)/PayloadWords))
 	}
-	idxs := make([]uint32, 0, len(pages))
-	for idx := range pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
+	idxs = slices.Compact(idxs)
+	f.idxs = idxs
 
 	rec := f.encodeRecord(idxs)
 	if err := f.ret.run("wal.append", func() error {
 		_, err := f.seg.WriteAt(rec, f.segSize)
 		return err
 	}); err != nil {
-		return f.degradeLocked(err)
+		return err
+	}
+	f.segSize += int64(len(rec))
+	f.logBytes += int64(len(rec))
+	for _, idx := range idxs {
+		f.covered[idx] = true
+		f.queuePage(idx)
 	}
 	if f.ship != nil {
 		f.ship.Append(f.seq, f.epoch, rec)
 	}
 	// Flush before fence: the flight-recorder region must be in the page
-	// cache before the fsync that commits this record, so the box always
+	// cache before the sync that commits this record, so the box always
 	// explains at least as much history as the data carries.
 	if err := f.syncBlackBox(); err != nil {
-		return f.degradeLocked(err)
+		return err
 	}
-	if err := f.ret.run("wal.fsync", f.seg.Sync); err != nil {
-		return f.degradeLocked(err)
-	}
-	f.segSize += int64(len(rec))
-	f.logBytes += int64(len(rec))
-	if f.ship != nil {
-		f.ship.Fence(f.seq)
-	}
-	f.hook(nvm.PhaseFenced)
-
-	f.hook(nvm.PhaseMidCommit)
-	for _, idx := range idxs {
-		if err := f.writePage(idx); err != nil {
-			return f.degradeLocked(err)
-		}
-		f.covered[idx] = true
-	}
-
-	switch {
-	case f.logBytes >= f.opts.CheckpointBytes:
-		if err := f.checkpointLocked(); err != nil {
-			return f.degradeLocked(err)
-		}
-		f.checkpoints++
-		if f.ship != nil {
-			f.ship.Checkpoint(f.snapSeq)
-		}
-	case f.segSize >= f.opts.SegmentBytes:
-		if err := f.rotateLocked(); err != nil {
-			return f.degradeLocked(err)
-		}
-	}
-
-	f.commits++
-	if f.trc != nil {
-		f.trc.Emit(trace.Event{
-			Kind:    trace.MemCommit,
-			Addr:    int32(nvm.InvalidAddr),
-			Ret:     uint64(len(batch)),
-			Attempt: int(f.ret.retries - retriesBefore),
-			DurUS:   uint64(time.Since(start).Microseconds()), //nrl:ignore telemetry timestamp: trace-event latency attribution only
-		})
+	if !f.due && (f.logBytes >= f.opts.CheckpointBytes || f.segSize >= f.opts.SegmentBytes) {
+		f.due = true
+		f.hold++
 	}
 	return nil
+}
+
+// takeSyncFileLocked takes an open file description of the active
+// segment for one commit's sync, opening another when none is spare.
+// Linux reports a writeback error once to each open file description
+// whose last check predates it, and no sooner than the failed writeback
+// ends, which the sync of the record's pages waits for. A description
+// that is taken before the record is written, and that no other sync
+// checks until this commit's own, therefore reports every error on the
+// record's pages. One shared with an overlapping sync would not: that
+// sync could consume the report and this one return nil.
+func (f *File) takeSyncFileLocked() (*os.File, error) {
+	if n := len(f.spare); n > 0 {
+		sf := f.spare[n-1]
+		f.spare = f.spare[:n-1]
+		return sf, nil
+	}
+	return os.OpenFile(f.seg.Name(), os.O_RDWR, 0)
+}
+
+// closeSpareLocked closes the spare descriptions of a segment being
+// retired. It runs with no commit in flight, so none is taken.
+func (f *File) closeSpareLocked() {
+	for _, sf := range f.spare {
+		sf.Close()
+	}
+	f.spare = f.spare[:0]
+}
+
+// quiescentLocked runs when the last commit in flight completes. Every
+// appended record is then durable (or the store is degraded), so the
+// queued page rewrites carry no record that is not, and a rotation or
+// checkpoint retires no segment a sync still targets. It lifts the
+// hold of a due rotation or checkpoint.
+func (f *File) quiescentLocked() {
+	due := f.due
+	if due {
+		f.due = false
+		f.hold--
+	}
+	if f.degraded != nil {
+		return
+	}
+	if len(f.pending) > 0 {
+		f.hook(nvm.PhaseMidCommit)
+	}
+	var err error
+	switch {
+	case due && f.logBytes >= f.opts.CheckpointBytes:
+		if err = f.checkpointLocked(); err == nil {
+			f.checkpoints++
+			if f.ship != nil {
+				f.ship.Checkpoint(f.snapSeq)
+			}
+		}
+	case due:
+		if err = f.writePendingLocked(); err == nil {
+			err = f.rotateLocked()
+		}
+	default:
+		err = f.writePendingLocked()
+	}
+	if err != nil {
+		f.degradeLocked(err)
+	}
+}
+
+// quiesceLocked holds back new commits and waits until none is in
+// flight; resumeLocked lifts the hold.
+func (f *File) quiesceLocked() {
+	f.hold++
+	for f.inflight > 0 {
+		f.cond.Wait()
+	}
+}
+
+func (f *File) resumeLocked() {
+	f.hold--
+	f.cond.Broadcast()
 }
 
 // syncBlackBox rewrites the recorder's dirty slots into the bbox file
@@ -476,6 +631,8 @@ func (f *File) syncBlackBox() error {
 func (f *File) SetEpoch(e uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.quiesceLocked()
+	defer f.resumeLocked()
 	if f.degraded != nil {
 		return f.degraded
 	}
@@ -499,6 +656,8 @@ func (f *File) SetEpoch(e uint64) error {
 func (f *File) RecordsSince(after uint64) (recs []ShipRec, ok bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.quiesceLocked()
+	defer f.resumeLocked()
 	if after < f.snapSeq {
 		return nil, false, nil
 	}
@@ -528,6 +687,8 @@ func (f *File) RecordsSince(after uint64) (recs []ShipRec, ok bool, err error) {
 func (f *File) Snapshot() (img []byte, seq uint64, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.quiesceLocked()
+	defer f.resumeLocked()
 	if f.degraded != nil {
 		return nil, 0, f.degraded
 	}
@@ -550,15 +711,19 @@ func (f *File) Snapshot() (img []byte, seq uint64, err error) {
 	return img, f.seq, nil
 }
 
-// Close releases the file handles. It does not flush: anything
-// committed is already durable, and anything else never was.
+// Close waits for the commits in flight, then releases the file
+// handles. It does not flush: anything committed is already durable,
+// and anything else never was.
 func (f *File) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.quiesceLocked()
+	defer f.resumeLocked()
 	var werr error
 	if f.seg != nil {
 		werr = f.seg.Close()
 	}
+	f.closeSpareLocked()
 	derr := f.data.Close()
 	if f.bbox != nil {
 		f.bbox.Close()
@@ -569,9 +734,9 @@ func (f *File) Close() error {
 	return derr
 }
 
-// pageImage encodes the current image of page idx at sequence f.seq.
-func (f *File) pageImage(idx uint32) []byte {
-	buf := make([]byte, PageSize)
+// encodePageAt encodes the current image of page idx at sequence f.seq
+// into buf.
+func (f *File) encodePageAt(buf []byte, idx uint32) {
 	lo := int(idx) * PayloadWords
 	hi := lo + PayloadWords
 	if hi > len(f.img) {
@@ -582,15 +747,31 @@ func (f *File) pageImage(idx uint32) []byte {
 		words = f.img[lo:hi]
 	}
 	encodePage(buf, words, f.seq, idx)
-	return buf
 }
 
-func (f *File) writePage(idx uint32) error {
-	pg := f.pageImage(idx)
-	return f.ret.run("data.pwrite", func() error {
-		_, err := f.data.WriteAt(pg, headerSize+int64(idx)*PageSize)
-		return err
-	})
+// writePendingLocked rewrites every queued data page in place.
+func (f *File) writePendingLocked() error {
+	for len(f.pending) > 0 {
+		idx := f.pending[len(f.pending)-1]
+		f.encodePageAt(f.pageBuf[:], idx)
+		if err := f.ret.run("data.pwrite", func() error {
+			_, err := f.data.WriteAt(f.pageBuf[:], headerSize+int64(idx)*PageSize)
+			return err
+		}); err != nil {
+			return err
+		}
+		f.queued[idx] = false
+		f.pending = f.pending[:len(f.pending)-1]
+	}
+	return nil
+}
+
+// queuePage adds page idx to the rewrite queue.
+func (f *File) queuePage(idx uint32) {
+	if !f.queued[idx] {
+		f.queued[idx] = true
+		f.pending = append(f.pending, idx)
+	}
 }
 
 // encodeRecord builds one WAL record carrying the current images of the
@@ -603,16 +784,17 @@ func (f *File) encodeRecord(idxs []uint32) []byte {
 	off := walRecHeaderSize
 	for _, idx := range idxs {
 		binary.LittleEndian.PutUint32(rec[off:], idx)
-		copy(rec[off+4:], f.pageImage(idx))
+		f.encodePageAt(rec[off+4:off+4+PageSize], idx)
 		off += walEntrySize
 	}
 	binary.LittleEndian.PutUint32(rec[off:], crc32.Checksum(rec[:off], castagnoli))
 	return rec
 }
 
-// rotateLocked retires the active segment (already durable — every
-// record on it was fsynced by its commit) and opens a fresh one at the
-// next index, headed with the current epoch and sequence.
+// rotateLocked retires the active segment (already durable — it runs
+// with no commit in flight, so every record on it was synced by its
+// commit) and opens a fresh one at the next index, headed with the
+// current epoch and sequence.
 func (f *File) rotateLocked() error {
 	next := f.segIndex + 1
 	seg, err := createSegment(f.dir, segHeader{index: next, epoch: f.epoch, baseSeq: f.seq}, &f.ret)
@@ -622,6 +804,7 @@ func (f *File) rotateLocked() error {
 	if f.seg != nil {
 		f.seg.Close()
 	}
+	f.closeSpareLocked()
 	f.seg = seg
 	f.segIndex = next
 	f.segSize = segHeaderSize
@@ -629,20 +812,24 @@ func (f *File) rotateLocked() error {
 	return nil
 }
 
-// checkpointLocked folds the WAL into the data file: data fsync, then
-// the manifest records the new snapshot sequence, then a fresh active
-// segment is created and every old segment retired (ascending, so an
-// interrupted cleanup leaves a contiguous suffix). After it, the data
-// file alone carries the committed state.
+// checkpointLocked folds the WAL into the data file: queued page
+// rewrites, data fsync, then the manifest records the new snapshot
+// sequence, then a fresh active segment is created and every old
+// segment retired (ascending, so an interrupted cleanup leaves a
+// contiguous suffix). After it, the data file alone carries the
+// committed state. It runs with no commit in flight.
 func (f *File) checkpointLocked() error {
-	if err := f.ret.run("data.fsync", f.data.Sync); err != nil {
+	if err := f.writePendingLocked(); err != nil {
+		return err
+	}
+	if err := f.ret.runSync("data.fsync", f.data.Sync); err != nil {
 		return err
 	}
 	// The black box gets the same power-failure durability as the data:
 	// whatever the commits pwrote since the last checkpoint is fenced
 	// here.
 	if f.bbox != nil {
-		if err := f.ret.run("bbox.fsync", f.bbox.Sync); err != nil {
+		if err := f.ret.runSync("bbox.fsync", f.bbox.Sync); err != nil {
 			return err
 		}
 	}
@@ -668,6 +855,7 @@ func (f *File) checkpointLocked() error {
 	if f.seg != nil {
 		f.seg.Close()
 	}
+	f.closeSpareLocked()
 	f.seg = seg
 	f.segIndex = next
 	f.segSize = segHeaderSize

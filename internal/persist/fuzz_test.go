@@ -50,7 +50,8 @@ func TestStaleWALRecordDoesNotRollBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the last record ({0: 44}).
-	b[len(b)-20] ^= 0xff
+	recs := recordStarts(b)
+	b[recs[len(recs)-1]+20] ^= 0xff
 	if err := os.WriteFile(wal, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +104,13 @@ func buildSegmentedStore(t *testing.T, dir string) map[nvm.Addr]uint64 {
 // open must carry the typed persist.ErrCorrupt. Panics and silent
 // prefix loss are the bugs being fuzzed for.
 func FuzzSegmentedRecovery(f *testing.F) {
-	f.Add(uint8(0), uint16(0), uint8(8), uint8(0xff), false, false, false)  // head of oldest segment
-	f.Add(uint8(1), uint16(50), uint8(4), uint8(0xa5), false, false, false) // mid middle segment
-	f.Add(uint8(1), uint16(0), uint8(16), uint8(0x01), true, false, false)  // across a boundary
-	f.Add(uint8(2), uint16(40), uint8(0), uint8(0), false, true, false)     // truncate newest mid-record
-	f.Add(uint8(0), uint16(0), uint8(0), uint8(0), false, true, false)      // truncate oldest to zero
-	f.Add(uint8(1), uint16(0), uint8(0), uint8(0), false, false, true)      // delete a middle segment
+	f.Add(uint8(0), uint16(0), uint8(8), uint8(0xff), false, false, false)    // head of oldest segment
+	f.Add(uint8(1), uint16(50), uint8(4), uint8(0xa5), false, false, false)   // mid middle segment
+	f.Add(uint8(1), uint16(0), uint8(16), uint8(0x01), true, false, false)    // across a boundary
+	f.Add(uint8(2), uint16(40), uint8(0), uint8(0), false, true, false)       // truncate newest mid-record
+	f.Add(uint8(0), uint16(0), uint8(0), uint8(0), false, true, false)        // truncate oldest to zero
+	f.Add(uint8(1), uint16(0), uint8(0), uint8(0), false, false, true)        // delete a middle segment
+	f.Add(uint8(1), uint16(1000), uint8(4), uint8(0x5a), false, false, false) // inside a middle segment's preallocated zeros
 	f.Fuzz(func(t *testing.T, segSel uint8, off uint16, n uint8, mask uint8, cross, truncate, remove bool) {
 		dir := t.TempDir()
 		want := buildSegmentedStore(t, dir)

@@ -30,6 +30,7 @@ type Mirror struct {
 	seg      *os.File
 	segIndex uint32
 	segSize  int64
+	unsynced bool // records appended since the last sync
 	seq      uint64
 	epoch    uint64
 	snapSeq  uint64
@@ -87,11 +88,6 @@ func OpenMirror(dir string, opts Options) (*Mirror, error) {
 			if err := removeSegments(later, &m.ret); err != nil {
 				return nil, err
 			}
-			if err := m.ret.run("seg.trim", func() error {
-				return os.Truncate(filepath.Join(dir, segName(ch.tailIndex)), ch.tailSize)
-			}); err != nil {
-				return nil, err
-			}
 		}
 		var seg *os.File
 		if err := m.ret.run("seg.create", func() error {
@@ -100,6 +96,22 @@ func OpenMirror(dir string, opts Options) (*Mirror, error) {
 			return oerr
 		}); err != nil {
 			return nil, err
+		}
+		if !ch.clean {
+			// Cut the torn tail and preallocate afresh: the chain must read
+			// as zeros past the next record appended here.
+			if err := m.ret.run("seg.trim", func() error {
+				if err := seg.Truncate(ch.tailSize); err != nil {
+					return err
+				}
+				if err := preallocate(seg, opts.SegmentBytes+segSlack); err != nil {
+					return err
+				}
+				return seg.Sync()
+			}); err != nil {
+				seg.Close()
+				return nil, err
+			}
 		}
 		m.seg = seg
 		m.segIndex = ch.tailIndex
@@ -166,18 +178,33 @@ func (m *Mirror) Append(seq uint64, rec []byte) error {
 	}
 	m.segSize += int64(len(rec))
 	m.seq = seq
+	m.unsynced = true
+	return nil
+}
+
+// Fence syncs the active segment: everything appended so far becomes
+// durable and may be counted toward replication quorum. A segment grown
+// past SegmentBytes rotates here, after its sync: the next segment's
+// header names the last record as its base, so a crash that lost that
+// record would cut the chain before every record fenced after it.
+func (m *Mirror) Fence() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.syncLocked(); err != nil {
+		return err
+	}
 	if m.segSize >= m.opts.SegmentBytes {
 		return m.rotateLocked()
 	}
 	return nil
 }
 
-// Fence fsyncs the active segment: everything appended so far becomes
-// durable and may be counted toward replication quorum.
-func (m *Mirror) Fence() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ret.run("wal.fsync", m.seg.Sync)
+func (m *Mirror) syncLocked() error {
+	if err := m.ret.runSync("wal.fsync", func() error { return syncSegment(m.seg) }); err != nil {
+		return err
+	}
+	m.unsynced = false
+	return nil
 }
 
 // SetEpoch durably adopts a higher epoch: manifest first (the promotion
@@ -193,6 +220,11 @@ func (m *Mirror) SetEpoch(e uint64) error {
 		return err
 	}
 	m.epoch = e
+	if m.unsynced {
+		if err := m.syncLocked(); err != nil {
+			return err
+		}
+	}
 	return m.rotateLocked()
 }
 
@@ -245,6 +277,7 @@ func (m *Mirror) InstallSnapshot(img []byte, seq, epoch uint64) error {
 		m.seg.Close()
 		m.seg = nil
 	}
+	m.unsynced = false
 	old, err := listSegments(m.dir)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -270,9 +303,11 @@ func (m *Mirror) InstallSnapshot(img []byte, seq, epoch uint64) error {
 func (m *Mirror) Retries() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.ret.retries
+	return m.ret.retries.Load()
 }
 
+// rotateLocked retires the active segment, which its caller has synced,
+// and opens a fresh one at the next index.
 func (m *Mirror) rotateLocked() error {
 	next := m.segIndex + 1
 	seg, err := createSegment(m.dir, segHeader{index: next, epoch: m.epoch, baseSeq: m.seq}, &m.ret)

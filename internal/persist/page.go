@@ -45,14 +45,7 @@ func parsePage(buf []byte, idx uint32) (words [PayloadWords]uint64, seq uint64, 
 	if len(buf) != PageSize {
 		return words, 0, false, false
 	}
-	zero = true
-	for _, b := range buf {
-		if b != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
+	if allZero(buf) {
 		return words, 0, true, true
 	}
 	if binary.LittleEndian.Uint32(buf[pageCRCOff:]) != crc32.Checksum(buf[:pageCRCOff], castagnoli) {

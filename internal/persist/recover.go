@@ -205,16 +205,10 @@ func (f *File) recover() error {
 	// sequences don't extend its header lineage, breaking the next
 	// recovery's continuity proof.
 	if len(ch.recs) > 0 || !ch.clean || ch.nsegs == 0 || !manOK || ch.end != f.seq {
-		var err error
 		for idx := range walPages {
-			if err = f.writePage(idx); err != nil {
-				break
-			}
+			f.queuePage(idx)
 		}
-		if err == nil {
-			err = f.checkpointLocked()
-		}
-		if err != nil {
+		if err := f.checkpointLocked(); err != nil {
 			f.degradeLocked(err)
 		}
 		return nil
@@ -243,7 +237,7 @@ func (f *File) initHeader() error {
 	}); err != nil {
 		return err
 	}
-	return f.ret.run("data.fsync", f.data.Sync)
+	return f.ret.runSync("data.fsync", f.data.Sync)
 }
 
 // anyValidPage reports whether the body of a data image holds at least

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -20,9 +21,17 @@ import (
 // so a reader can prove it holds a contiguous committed prefix and trim
 // anything after the first anomaly as a torn tail. Segment indexes are
 // never reused: rotation and checkpointing always create maxIndex+1.
+//
+// Segments are created preallocated (see preallocate), so past its last
+// record a segment reads as zeros: an all-zero tail is the segment's
+// clean end, and the chain continues into the next segment.
 const (
 	segPrefix = "wal-"
 	segMagic  = "NRLSEG1\x00"
+
+	// segSlack is preallocated beyond Options.SegmentBytes: the record
+	// that crosses the rotation threshold still lands in allocated space.
+	segSlack = 4 << 10
 
 	// segHeaderSize is the fixed segment header: magic, version, index,
 	// epoch, baseSeq, CRC-32C, padded to 40 bytes.
@@ -128,7 +137,7 @@ type chain struct {
 	nsegs     int    // segment files present on disk
 	clean     bool   // no discarded bytes and every segment chained
 	tailIndex uint32 // index of the last chained segment
-	tailSize  int64  // its size (append position when reusing it)
+	tailSize  int64  // its header and records: the append position when reusing it
 	bytes     int64  // total chained bytes (headers + records)
 	baseSeq   uint64 // baseSeq of the first chained segment
 	end       uint64 // last chained sequence (tail baseSeq if tail empty)
@@ -136,10 +145,11 @@ type chain struct {
 
 // loadChain reads and validates dir's segment chain. The chain stops at
 // the first anomaly — unreadable file, invalid header, index mismatch,
-// baseSeq discontinuity, or a torn record tail — and everything from
-// that point on counts as discarded: a record is only part of the
-// durable prefix if every byte between it and the chain's start
-// validates. Read-only; trimming is the writer's (or recovery's) job.
+// baseSeq discontinuity, or a torn record tail (bytes after a segment's
+// last valid record that are not all zero) — and everything from that
+// point on counts as discarded: a record is only part of the durable
+// prefix if every byte between it and the chain's start validates.
+// Read-only; trimming is the writer's (or recovery's) job.
 func loadChain(dir string) (chain, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -174,15 +184,20 @@ func loadChain(dir string) (chain, error) {
 		if !havePrev {
 			c.baseSeq = h.baseSeq
 		}
-		recs, disc := parseRecords(b[segHeaderSize:], h.baseSeq)
+		body := b[segHeaderSize:]
+		recs, used := parseRecords(body, h.baseSeq)
+		var disc int64
+		if !allZero(body[used:]) {
+			disc = int64(len(body) - used)
+		}
 		c.recs = append(c.recs, recs...)
 		c.discarded += disc
 		if h.epoch > c.epoch {
 			c.epoch = h.epoch
 		}
 		c.tailIndex = se.index
-		c.tailSize = int64(len(b)) - disc
-		c.bytes += int64(len(b)) - disc
+		c.tailSize = segHeaderSize + int64(used)
+		c.bytes += c.tailSize
 		prevSeq = h.baseSeq + uint64(len(recs))
 		c.end = prevSeq
 		havePrev = true
@@ -194,12 +209,11 @@ func loadChain(dir string) (chain, error) {
 	return c, nil
 }
 
-// parseRecords decodes the valid record prefix of one segment's body.
-// Sequences must run baseSeq+1, baseSeq+2, …: anything after the first
-// short record, bad magic, bad CRC, sequence break, or invalid embedded
-// page is an uncommitted or damaged tail and its byte length is
-// returned as discarded.
-func parseRecords(b []byte, baseSeq uint64) (recs []chainRec, discarded int64) {
+// parseRecords decodes the valid record prefix of one segment's body
+// and returns it with its byte length. Sequences must run baseSeq+1,
+// baseSeq+2, …: the prefix ends at the first short record, bad magic,
+// bad CRC, sequence break, or invalid embedded page.
+func parseRecords(b []byte, baseSeq uint64) (recs []chainRec, used int) {
 	off := 0
 	next := baseSeq + 1
 	for {
@@ -242,11 +256,33 @@ func parseRecords(b []byte, baseSeq uint64) (recs []chainRec, discarded int64) {
 		off += total
 		next++
 	}
-	return recs, int64(len(b) - off)
+	return recs, off
 }
 
-// createSegment creates the segment file for index in dir and writes
-// its fsynced header under r's retry budget, returning the open handle
+// zeroBlock is compared against in allZero; never written.
+var zeroBlock [4096]byte
+
+// allZero reports whether b holds only zero bytes. It compares whole
+// blocks: a preallocated segment's tail is tens of KiB of zeros, and
+// recovery and ScanDir check every segment's.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroBlock))
+		if !bytes.Equal(b[:n], zeroBlock[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// syncSegment makes a WAL segment's appended records durable. Package
+// tests substitute a failing sync here.
+var syncSegment = datasync
+
+// createSegment creates the segment file for index in dir,
+// preallocated to r's SegmentBytes plus segSlack, and writes its
+// fsynced header under r's retry budget, returning the open handle
 // positioned for record appends.
 func createSegment(dir string, h segHeader, r *retrier) (*os.File, error) {
 	path := filepath.Join(dir, segName(h.index))
@@ -255,6 +291,11 @@ func createSegment(dir string, h segHeader, r *retrier) (*os.File, error) {
 		var err error
 		f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
+			return err
+		}
+		if err := preallocate(f, r.opts.SegmentBytes+segSlack); err != nil {
+			f.Close()
+			f = nil
 			return err
 		}
 		if _, err := f.WriteAt(encodeSegHeader(h), 0); err != nil {

@@ -3,6 +3,7 @@ package persist_test
 import (
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"nrl/internal/nvm"
@@ -13,7 +14,7 @@ import (
 // behavior shows up in small tests.
 func tinySegOpts() persist.Options {
 	o := fastOpts()
-	o.SegmentBytes = 256       // ~2 single-page records per segment
+	o.SegmentBytes = 256        // ~2 single-page records per segment
 	o.CheckpointBytes = 1 << 20 // keep checkpoints out of the way
 	return o
 }
@@ -61,13 +62,14 @@ func TestCrossSegmentTornTail(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("want ≥3 segments, got %v", segs)
 	}
-	// Corrupt a record in the middle segment.
+	// Corrupt the last record in the middle segment.
 	mid := segs[len(segs)/2]
 	b, err := os.ReadFile(mid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-10] ^= 0xff
+	recs := recordStarts(b)
+	b[recs[len(recs)-1]+20] ^= 0xff
 	if err := os.WriteFile(mid, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -348,5 +350,120 @@ func TestRecSumsDistinguishRecords(t *testing.T) {
 	}
 	if repA.RecSums[0].Sum == repB.RecSums[0].Sum {
 		t.Errorf("divergent seq-1 records share fingerprint %d", repA.RecSums[0].Sum)
+	}
+}
+
+// TestZeroTailIsCleanEnd: a segment that reads as zeros past its last
+// record — what preallocation leaves — ends cleanly, and the chain runs
+// on into the next segment for recovery, ScanDir and OpenMirror alike.
+// Any other bytes there, such as a record cut short, are a torn tail.
+func TestZeroTailIsCleanEnd(t *testing.T) {
+	dir := t.TempDir()
+	f := open(t, dir, tinySegOpts())
+	for i := 0; i < 10; i++ {
+		commit(t, f, nvm.WordUpdate{Addr: nvm.Addr(i * 6), Val: uint64(1000 + i)})
+	}
+	f.Close()
+	segs := walSegs(t, dir)
+	if len(segs) < 3 {
+		t.Fatalf("segments = %v, want several", segs)
+	}
+	// Zero-extend every segment, preallocated or not.
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(seg, fi.Size()+8<<10); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rep, err := persist.ScanDir(dir)
+	if err != nil || rep.Records != 10 || rep.DiscardedBytes != 0 || rep.Prefix != 10 {
+		t.Fatalf("ScanDir = %+v, err %v; want 10 records, none discarded", rep, err)
+	}
+	m, err := persist.OpenMirror(dir, tinySegOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Seq(); got != 10 {
+		t.Fatalf("mirror Seq = %d, want 10", got)
+	}
+	m.Close()
+	if got := walSegs(t, dir); len(got) != len(segs) {
+		t.Fatalf("OpenMirror trimmed a clean chain: %v -> %v", segs, got)
+	}
+
+	// A record cut short in the middle segment, zeros after it: torn,
+	// and the chain stops there.
+	mid := segs[len(segs)/2]
+	b, err := os.ReadFile(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := recordStarts(b)
+	last := recs[len(recs)-1]
+	end := last + (last - recs[len(recs)-2])
+	copy(b[end:], b[last:last+30])
+	if err := os.WriteFile(mid, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = persist.ScanDir(dir)
+	if err != nil || rep.Records >= 10 || rep.DiscardedBytes == 0 {
+		t.Fatalf("ScanDir after a torn record = %+v, err %v; want the chain cut at it", rep, err)
+	}
+	g := open(t, dir, tinySegOpts())
+	defer g.Close()
+	if r := g.Report(); r.WALRecords != rep.Records || r.WALDiscarded == 0 {
+		t.Fatalf("recovery = %+v, want %d records and a discarded tail", r, rep.Records)
+	}
+	for i := 0; i < 10; i++ {
+		if got, ok := g.Recovered(nvm.Addr(i * 6)); !ok || got != uint64(1000+i) {
+			t.Fatalf("Recovered(%d) = %d,%v, want %d", i*6, got, ok, 1000+i)
+		}
+	}
+}
+
+// TestMirrorSyncsBeforeRotating: a mirror retires a segment only after
+// syncing it. Rotating first would leave the boundary record in the page
+// cache while the next segment's header, synced by the next fence, names
+// it as its base — and the record would count toward quorum unsynced.
+func TestMirrorSyncsBeforeRotating(t *testing.T) {
+	var ops []string
+	mopts := tinySegOpts()
+	mopts.Inject = func(op string) error {
+		ops = append(ops, op)
+		return nil
+	}
+	m, err := persist.OpenMirror(t.TempDir(), mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	opts := tinySegOpts()
+	opts.Shipper = &shipToMirror{t: t, m: m}
+	f := open(t, t.TempDir(), opts)
+	defer f.Close()
+	ops = nil
+	for i := 0; i < 12; i++ {
+		commit(t, f, nvm.WordUpdate{Addr: nvm.Addr(i), Val: uint64(i)})
+	}
+	appended, rotations := false, 0
+	for _, op := range ops {
+		switch op {
+		case "wal.append":
+			appended = true
+		case "wal.fsync":
+			appended = false
+		case "seg.create":
+			rotations++
+			if appended {
+				t.Fatalf("seg.create between a record's wal.append and its wal.fsync: %s", strings.Join(ops, " "))
+			}
+		}
+	}
+	if rotations == 0 {
+		t.Fatal("the mirror never rotated")
 	}
 }

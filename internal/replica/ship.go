@@ -158,11 +158,13 @@ func (s *Set) attachLocked(f *follower) {
 
 // catchUpLocked brings an attached follower to the leader's durable
 // state: by records when its prefix is still in the leader's log (same
-// epoch, no gap), by snapshot transfer otherwise — which also wipes any
-// stale-epoch tail the directory carried.
+// epoch, no gap) and its data file is intact, by snapshot transfer
+// otherwise — which also wipes any stale-epoch tail the directory
+// carried. Records cannot mend a torn data page, and a follower holding
+// one its chain does not cover could never be promoted.
 func (s *Set) catchUpLocked(f *follower) error {
 	m := f.mirror
-	if m.Epoch() == s.epoch && m.Seq() <= s.leader.Seq() {
+	if m.Epoch() == s.epoch && m.Seq() <= s.leader.Seq() && dataIntact(f.dir) {
 		if recs, ok, err := s.leader.RecordsSince(m.Seq()); err == nil && ok {
 			rerr := func() error {
 				for _, r := range recs {
@@ -213,4 +215,10 @@ func (s *Set) distributeSnapLocked() {
 			s.faultLocked(f)
 		}
 	}
+}
+
+// dataIntact reports whether dir's data file holds no torn page.
+func dataIntact(dir string) bool {
+	rep, err := persist.ScanDir(dir)
+	return err == nil && rep.PagesTorn == 0
 }
