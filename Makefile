@@ -77,27 +77,29 @@ golden:
 chaos:
 	$(GO) run ./cmd/nrlchaos -runs 25 -seed 1
 
-# Seeded real-crash campaign: worker processes over the file-backed
-# store, SIGKILLed at random points, every restart verified (the CI
-# smoke; the 200-round acceptance run is TestKillCampaign200Rounds).
-# The store directory and the campaign's schedule trace survive in
-# crash-artifacts/ for inspection — CI uploads both when the campaign
-# fails, and `nrlchaos -real -replaytrace crash-artifacts/schedule.jsonl`
-# re-executes the exact kill schedule.
+# Seeded real-crash campaign: worker processes over one file-backed
+# store, SIGKILLed at seeded kill points, every restart verified (the
+# CI smoke; the 200-round acceptance run is TestKillCampaign200Rounds,
+# subtest replicas=1). The store (crash-artifacts/store/r0, whose bbox
+# `nrlstat forensics crash-artifacts/store/r0` decodes) and the
+# campaign's schedule trace survive for inspection — CI uploads both
+# when the campaign fails, and `nrlchaos -real -replaytrace
+# crash-artifacts/schedule.jsonl` re-executes the exact kill schedule.
 crash:
 	mkdir -p crash-artifacts
 	$(GO) run ./cmd/nrlchaos -real -rounds 25 -seed 1 -dir crash-artifacts/store -record crash-artifacts/schedule.jsonl
 
-# Seeded replica-fault kill campaign: a three-member replica set driven
-# by SIGKILLed workers, one replica directory wiped, corrupted, or
-# disk-faulted per round, every recovery verified and failovers
-# required to promote (the CI smoke; the 200-round acceptance run is
-# TestReplKillCampaign200Rounds). The set root survives in
-# repl-artifacts/ for inspection — `nrlstat forensics
-# repl-artifacts/set` decodes it — and CI uploads it on failure.
+# The same campaign over a three-member replica set: one member
+# directory wiped, corrupted, or disk-faulted per round, every recovery
+# verified and failovers required to promote (the CI smoke; the
+# 200-round acceptance run is TestKillCampaign200Rounds, subtest
+# replicas=3). The set root survives in repl-artifacts/set for
+# inspection — `nrlstat forensics repl-artifacts/set` decodes it — and
+# CI uploads it on failure; `nrlchaos -real -replaytrace
+# repl-artifacts/schedule.jsonl` re-executes the exact fault schedule.
 replchaos:
 	mkdir -p repl-artifacts
-	$(GO) run ./cmd/nrlrepl chaos -rounds 25 -seed 1 -root repl-artifacts/set -keep -record repl-artifacts/schedule.jsonl
+	$(GO) run ./cmd/nrlchaos -real -replicas 3 -rounds 25 -seed 1 -appends 20 -capacity 16384 -maxdelay 60ms -dir repl-artifacts/set -record repl-artifacts/schedule.jsonl
 
 # Replay the committed crash-regression corpus
 # (internal/chaos/testdata/regressions/*.jsonl): every minimized

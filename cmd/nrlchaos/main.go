@@ -13,8 +13,9 @@
 //	nrlchaos -workload NAME -replay SITES -seed RUNSEED [-procs N] [-ops N]
 //	         [-trace out.jsonl]
 //	nrlchaos -replaytrace trace.jsonl
-//	nrlchaos -real [-rounds N] [-seed S] [-appends N] [-dir DIR] [-keep]
-//	         [-maxdelay D] [-record trace.jsonl] [-replaytrace trace.jsonl]
+//	nrlchaos -real [-rounds N] [-seed S] [-replicas N] [-appends N]
+//	         [-capacity N] [-dir DIR] [-keep] [-maxdelay D]
+//	         [-record trace.jsonl] [-replaytrace trace.jsonl]
 //
 // -record writes the campaign's schedule trace — the checksummed JSONL
 // of every seeded choice and verdict — and, when shrinking finds a
@@ -26,10 +27,13 @@
 //
 // -real switches from simulated crashes to real ones: worker processes
 // (this binary re-executed with -realworker) run a durable counter/log
-// workload over the file-backed persist store and are SIGKILLed at
-// seeded random points; every restart must recover to an NRL-consistent
-// state, and the summary reports which persistence phases the kills
-// landed in.
+// workload over a replica set of -replicas file-backed stores under
+// -dir (one store, at DIR/r0, by default) and are SIGKILLed at seeded
+// kill points; every restart must recover to an NRL-consistent state,
+// and the summary reports which persistence phases the kills landed
+// in. With -replicas 3 or more, each round also wipes, corrupts or
+// disk-faults one member, and failovers must promote rather than end
+// read-only.
 //
 // In campaign mode -seed is the master seed (each run derives its own);
 // in replay mode -seed is the failing run's seed as printed in the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,16 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
+
+// TestMain doubles as the worker re-exec shim: -real re-runs
+// os.Executable() — in tests, this binary — with -realworker first, so
+// the test binary then behaves exactly like nrlchaos.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-realworker" {
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
 
 // golden runs the CLI and compares stdout (and the exit code) against a
 // golden file. Campaigns are deterministic — controlled scheduler, seeded
@@ -115,6 +126,42 @@ func TestTargetedCampaign(t *testing.T) {
 	}
 }
 
+// TestChaosCampaign runs a short replicated SIGKILL campaign through
+// the CLI, recording its schedule, then replays the recording over a
+// fresh root: the schedule must match.
+func TestChaosCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess campaign skipped in -short mode")
+	}
+	dir := t.TempDir()
+	rec := filepath.Join(dir, "x.jsonl")
+	var out, errOut bytes.Buffer
+	code := run([]string{"-real", "-replicas", "3", "-appends", "20", "-capacity", "16384",
+		"-maxdelay", "60ms", "-dir", filepath.Join(dir, "set"), "-rounds", "6", "-seed", "3",
+		"-record", rec}, &out, &errOut)
+	if code != exitClean {
+		t.Fatalf("campaign exit %d:\n%s\n%s", code, out.String(), errOut.String())
+	}
+	var rounds, kills, clean int
+	summary := out.String()[strings.Index(out.String(), "real-crash"):]
+	if _, err := fmt.Sscanf(summary, "real-crash    %d rounds over 3 replicas, %d kills, %d clean exits",
+		&rounds, &kills, &clean); err != nil {
+		t.Fatalf("unparseable summary (%v):\n%s", err, out.String())
+	}
+	if rounds != 6 || kills+clean != 6 {
+		t.Errorf("rounds accounted = %d+%d of %d, want 6", kills, clean, rounds)
+	}
+	if !strings.Contains(summary, "member faults:") {
+		t.Errorf("no member faults reported:\n%s", summary)
+	}
+
+	out.Reset()
+	code = run([]string{"-real", "-dir", filepath.Join(dir, "replay"), "-replaytrace", rec}, &out, &errOut)
+	if code != exitClean || !strings.Contains(out.String(), "schedule matched") {
+		t.Fatalf("replay exit %d:\n%s\n%s", code, out.String(), errOut.String())
+	}
+}
+
 // TestUsageErrors: unknown workload, bad sites, bad target, bad flag all
 // exit 3 without touching stdout.
 func TestUsageErrors(t *testing.T) {
@@ -125,6 +172,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-workload", "counter", "-target", "bogus"},
 		{"-bogus"},
 		{"-workload", "counter", "-runs", "0"},
+		{"-real", "-replicas", "0"},
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer

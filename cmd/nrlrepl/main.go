@@ -8,22 +8,18 @@
 //	nrlrepl init    -root DIR [-replicas N]
 //	nrlrepl status  -root DIR [-replicas N]
 //	nrlrepl verify  -root DIR [-replicas N]
-//	nrlrepl chaos   -root DIR [-replicas N] [-rounds N] [-seed S]
-//	                [-appends N] [-maxdelay D] [-keep]
 //
 // init creates the member directories and performs a first election so
 // every member holds a durable genesis store. status scans the members
 // read-only — no election, no healing — and reports each directory's
 // durable credentials plus the leader the next open would elect. verify
 // actually opens the set, letting recovery and catch-up run, and
-// reports whether it came up serving. chaos runs the replica-fault
-// SIGKILL campaign against the root (workers are this binary re-run in
-// a hidden worker mode).
+// reports whether it came up serving. The replica-fault SIGKILL
+// campaign is `nrlchaos -real -replicas 3`.
 //
 // Every subcommand prints a single JSON document on stdout.
 //
-// Exit codes: 0 clean, 1 violation (chaos) or degraded set (verify),
-// 3 usage or I/O error.
+// Exit codes: 0 clean, 1 degraded set (verify), 3 usage or I/O error.
 package main
 
 import (
@@ -60,11 +56,6 @@ func run(args []string, out, errOut io.Writer) int {
 		return runStatus(rest, out, errOut)
 	case "verify":
 		return runVerify(rest, out, errOut)
-	case "chaos":
-		return runChaos(rest, out, errOut)
-	case "chaosworker":
-		// Hidden: one campaign worker incarnation, spawned by chaos.
-		return runChaosWorker(rest, out, errOut)
 	default:
 		fmt.Fprintf(errOut, "nrlrepl: unknown command %q\n", cmd)
 		usage(errOut)
@@ -73,7 +64,7 @@ func run(args []string, out, errOut io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: nrlrepl {init|status|verify|chaos} -root DIR [flags]")
+	fmt.Fprintln(w, "usage: nrlrepl {init|status|verify} -root DIR [flags]")
 }
 
 // setFlags declares the flags every subcommand shares.

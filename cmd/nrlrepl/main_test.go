@@ -8,16 +8,6 @@ import (
 	"testing"
 )
 
-// TestMain doubles as the worker re-exec shim: the chaos subcommand
-// re-runs os.Executable() — in tests, this binary — so with the guard
-// set the test binary behaves exactly like nrlrepl.
-func TestMain(m *testing.M) {
-	if os.Getenv("NRLREPL_RUN_MAIN") != "" && len(os.Args) > 1 && os.Args[1] == "chaosworker" {
-		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-	}
-	os.Exit(m.Run())
-}
-
 func mustJSON(t *testing.T, b []byte, v any) {
 	t.Helper()
 	if err := json.Unmarshal(b, v); err != nil {
@@ -105,30 +95,6 @@ func TestStatusSurvivesLostMember(t *testing.T) {
 	mustJSON(t, out.Bytes(), &vd)
 	if !vd.OK {
 		t.Fatalf("verify after wipe not ok: %+v", vd)
-	}
-}
-
-func TestChaosCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess campaign skipped in -short mode")
-	}
-	t.Setenv("NRLREPL_RUN_MAIN", "1")
-	root := filepath.Join(t.TempDir(), "set")
-	var out, errOut bytes.Buffer
-	code := run([]string{"chaos", "-root", root, "-rounds", "6", "-seed", "3"}, &out, &errOut)
-	if code != exitClean {
-		t.Fatalf("chaos exit %d:\n%s\n%s", code, out.String(), errOut.String())
-	}
-	var doc chaosDoc
-	mustJSON(t, out.Bytes(), &doc)
-	if !doc.OK {
-		t.Fatalf("chaos reported failures: %+v", doc.Failures)
-	}
-	if doc.Kills+doc.CleanExits != 6 {
-		t.Errorf("rounds accounted = %d+%d, want 6", doc.Kills, doc.CleanExits)
-	}
-	if len(doc.Faults) == 0 {
-		t.Error("no faults recorded")
 	}
 }
 

@@ -5,18 +5,13 @@ package chaos_test
 import "time"
 
 // Campaign tuning for uninstrumented binaries: the worker is inside the
-// commit pipeline within a few milliseconds of exec, so a short kill
-// window samples every phase, and phase diversity is asserted.
+// commit pipeline within a few milliseconds of exec, so a short
+// start-up kill window samples start-up and recovery, and phase
+// diversity is asserted. A replicated worker fsyncs three directories
+// per commit, so its window stretches a little.
 const (
 	killAcceptanceRounds = 200
 	killMaxDelay         = 30 * time.Millisecond
-	killAssertPhases     = true
-)
-
-// Replica-campaign tuning: a replicated worker fsyncs three directories
-// per commit, so the kill window stretches a little relative to the
-// single-store campaign.
-const (
-	replAcceptanceRounds = 200
 	replKillMaxDelay     = 60 * time.Millisecond
+	killAssertPhases     = true
 )

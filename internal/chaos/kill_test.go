@@ -1,76 +1,82 @@
 package chaos_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 
 	"nrl/internal/chaos"
+	"nrl/internal/vclock"
 )
+
+// workerConfig decodes the incarnation's configuration, which the
+// campaign tests pass to a re-executed test binary as JSON in the
+// NRL_KILL_WORKER environment guard.
+func workerConfig(t *testing.T) chaos.KillWorkerConfig {
+	v := os.Getenv("NRL_KILL_WORKER")
+	if v == "" {
+		t.Skip("not a worker invocation")
+	}
+	var cfg chaos.KillWorkerConfig
+	if err := json.Unmarshal([]byte(v), &cfg); err != nil {
+		fmt.Printf("bad worker config: %v\n", err)
+		os.Exit(chaos.KillWorkerBad)
+	}
+	return cfg
+}
 
 // TestKillWorkerProcess is not a test: it is the kill-harness worker
 // body, re-executed as a subprocess by the campaign tests below. It
 // does nothing unless the NRL_KILL_WORKER environment guard is set.
 func TestKillWorkerProcess(t *testing.T) {
-	if os.Getenv("NRL_KILL_WORKER") == "" {
-		t.Skip("not a worker invocation")
-	}
-	atoi := func(k string, def int) int {
-		if v := os.Getenv(k); v != "" {
-			n, err := strconv.Atoi(v)
-			if err == nil {
-				return n
-			}
-		}
-		return def
-	}
-	cfg := chaos.KillWorkerConfig{
-		Dir:      os.Getenv("NRL_KILL_DIR"),
-		Appends:  atoi("NRL_KILL_APPENDS", 3),
-		Capacity: atoi("NRL_KILL_CAPACITY", 4096),
-		Verify:   os.Getenv("NRL_KILL_VERIFY") != "",
-	}
-	os.Exit(chaos.RunKillWorker(cfg, os.Stdout))
+	os.Exit(chaos.RunKillWorker(workerConfig(t), os.Stdout))
 }
 
 // selfWorker builds a Worker function that re-executes this test binary
-// as the kill worker.
-func selfWorker(t *testing.T, dir string, appends, capacity int) func(bool) *exec.Cmd {
+// as the worker body of the named test.
+func selfWorker(t *testing.T, test string) func(chaos.KillWorkerConfig) *exec.Cmd {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatalf("os.Executable: %v", err)
 	}
-	return func(verify bool) *exec.Cmd {
-		cmd := exec.Command(exe, "-test.run=TestKillWorkerProcess")
-		cmd.Env = append(os.Environ(),
-			"NRL_KILL_WORKER=1",
-			"NRL_KILL_DIR="+dir,
-			"NRL_KILL_APPENDS="+strconv.Itoa(appends),
-			"NRL_KILL_CAPACITY="+strconv.Itoa(capacity),
-		)
-		if verify {
-			cmd.Env = append(cmd.Env, "NRL_KILL_VERIFY=1")
+	return func(wc chaos.KillWorkerConfig) *exec.Cmd {
+		b, err := json.Marshal(wc)
+		if err != nil {
+			panic(err)
 		}
+		cmd := exec.Command(exe, "-test.run=^"+test+"$")
+		cmd.Env = append(os.Environ(), "NRL_KILL_WORKER="+string(b))
 		return cmd
 	}
 }
 
-func runCampaign(t *testing.T, rounds, appends int, seed int64) *chaos.KillResult {
+func runCampaign(t *testing.T, replicas, rounds, appends int, seed int64) *chaos.KillResult {
 	t.Helper()
-	dir := t.TempDir()
+	maxDelay := killMaxDelay
+	if replicas > 1 {
+		maxDelay = replKillMaxDelay
+	}
 	res, err := chaos.RunKillCampaign(chaos.KillConfig{
 		Rounds:       rounds,
 		Seed:         seed,
-		MaxKillDelay: killMaxDelay,
-		Worker:       selfWorker(t, dir, appends, 16384),
+		MaxKillDelay: maxDelay,
+		Root:         t.TempDir(),
+		Replicas:     replicas,
+		Appends:      appends,
+		Capacity:     16384,
+		Worker:       selfWorker(t, "TestKillWorkerProcess"),
 	})
 	if err != nil {
 		t.Fatalf("RunKillCampaign: %v", err)
 	}
 	for _, f := range res.Failures {
-		t.Errorf("consistency failure: %s", f)
+		t.Errorf("violation: %s", f)
 	}
 	if t.Failed() {
 		for _, tr := range res.Transcripts {
@@ -80,37 +86,148 @@ func runCampaign(t *testing.T, rounds, appends int, seed int64) *chaos.KillResul
 	return res
 }
 
-// TestKillCampaignSmoke is the always-on quick version of the issue's
-// 200-round acceptance run.
+func logResult(t *testing.T, rounds int, res *chaos.KillResult) {
+	t.Helper()
+	t.Logf("%d rounds: kills=%d clean=%d finalLen=%d finalEpoch=%d torn=%d repaired=%d bbchecks=%d promos=%d heals=%d faults=%v leaderFaults=%d\n%s",
+		rounds, res.Kills, res.CleanExits, res.FinalLen, res.FinalEpoch, res.TornWrites, res.RepairedWrites,
+		res.BlackBoxChecks, res.Promotions, res.Heals, res.Faults, res.LeaderFaults, res.Phases)
+}
+
+// TestKillCampaignSmoke is the always-on quick version of the 200-round
+// acceptance run, for one store and for a three-member set.
 func TestKillCampaignSmoke(t *testing.T) {
-	res := runCampaign(t, 12, 8, 7)
-	if res.Kills+res.CleanExits != 12 {
-		t.Fatalf("rounds accounted = %d+%d, want 12", res.Kills, res.CleanExits)
-	}
-	if res.BlackBoxChecks == 0 {
-		t.Error("no round cross-checked the flight-recorder black box")
-	}
-	t.Logf("smoke: kills=%d clean=%d finalLen=%d repaired=%d bbchecks=%d\n%s",
-		res.Kills, res.CleanExits, res.FinalLen, res.RepairedWrites, res.BlackBoxChecks, res.Phases)
+	t.Run("replicas=1", func(t *testing.T) {
+		res := runCampaign(t, 1, 12, 8, 7)
+		if res.Kills+res.CleanExits != 12 {
+			t.Fatalf("rounds accounted = %d+%d, want 12", res.Kills, res.CleanExits)
+		}
+		if res.BlackBoxChecks == 0 {
+			t.Error("no round cross-checked the flight-recorder black box")
+		}
+		logResult(t, 12, res)
+	})
+	t.Run("replicas=3", func(t *testing.T) {
+		res := runCampaign(t, 3, 10, 8, 11)
+		if res.Kills+res.CleanExits != 10 {
+			t.Fatalf("rounds accounted = %d+%d, want 10", res.Kills, res.CleanExits)
+		}
+		if len(res.Faults) == 0 {
+			t.Error("no replica faults were injected")
+		}
+		logResult(t, 10, res)
+	})
 }
 
 // TestKillCampaign200Rounds is the acceptance criterion: 200 seeded
-// SIGKILL rounds over one store, every incarnation recovering to an
-// NRL-consistent state, with kills landing across multiple persistence
-// phases.
+// SIGKILL rounds, every incarnation recovering to an NRL-consistent
+// state containing every acknowledged append. One store: kills land
+// across multiple persistence phases. Three members, each round also
+// wiping, corrupting or disk-faulting one member directory: a degraded
+// leader always ends in a promoted follower that keeps accepting
+// writes, and no round ends sticky read-only while a healthy quorum
+// exists.
 func TestKillCampaign200Rounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200-round kill campaign skipped in -short mode")
 	}
-	// 40 appends (~80 fences) keeps each incarnation inside the commit
-	// pipeline long enough that most kill delays land mid-workload.
-	res := runCampaign(t, killAcceptanceRounds, 40, 1)
-	if res.Kills == 0 {
-		t.Fatalf("%d rounds produced no kills; campaign exercised nothing", killAcceptanceRounds)
+	t.Run("replicas=1", func(t *testing.T) {
+		// 40 appends (~80 fences) give the kill points room to sample
+		// the whole commit pipeline.
+		res := runCampaign(t, 1, killAcceptanceRounds, 40, 1)
+		if res.Kills == 0 {
+			t.Fatalf("%d rounds produced no kills; campaign exercised nothing", killAcceptanceRounds)
+		}
+		if d := res.Phases.Distinct(); killAssertPhases && d < 2 {
+			t.Errorf("kills covered only %d distinct phase(s); want >= 2\n%s", d, res.Phases)
+		}
+		logResult(t, killAcceptanceRounds, res)
+	})
+	t.Run("replicas=3", func(t *testing.T) {
+		res := runCampaign(t, 3, killAcceptanceRounds, 20, 1)
+		if res.Kills == 0 {
+			t.Fatalf("%d rounds produced no kills; campaign exercised nothing", killAcceptanceRounds)
+		}
+		for _, kind := range []string{"wipe", "corrupt", "disk"} {
+			if res.Faults[kind] == 0 {
+				t.Errorf("no round drew the %s fault; coverage hole", kind)
+			}
+		}
+		if res.Promotions == 0 {
+			t.Error("no incarnation promoted a follower; leader disk faults never ended in failover")
+		}
+		if res.Heals == 0 {
+			t.Error("no incarnation healed a follower back in")
+		}
+		logResult(t, killAcceptanceRounds, res)
+	})
+}
+
+// The fake worker's pacing: a start-up far longer than the campaign's
+// kill window from exec, then acks far enough apart that the post-ack
+// kill window (a few milliseconds) cannot reach the next one.
+const (
+	fakeStartup = 100 * time.Millisecond
+	fakeAckPace = 50 * time.Millisecond
+)
+
+// TestFakeKillWorker is not a test: it is the stand-in worker of
+// TestKillPointCountsAcks, re-executed as a subprocess. It starts
+// slowly, then acknowledges its appends at a fixed pace, keeping its
+// log length in a file so each incarnation recovers what the last one
+// acknowledged.
+func TestFakeKillWorker(t *testing.T) {
+	cfg := workerConfig(t)
+	vclock.WallSleep(fakeStartup)
+	path := filepath.Join(cfg.Root, "len")
+	var n uint64
+	if b, err := os.ReadFile(path); err == nil {
+		n, _ = strconv.ParseUint(string(b), 10, 64)
 	}
-	if d := res.Phases.Distinct(); killAssertPhases && d < 2 {
-		t.Errorf("kills covered only %d distinct phase(s); want >= 2\n%s", d, res.Phases)
+	fmt.Printf("recovered len=%d ctr=%d torn=0 repaired=0\n", n, n)
+	fmt.Println("set leader=0 epoch=0 promos=0 heals=0")
+	fmt.Println("blackbox records=0 torn=0 maxbegun=0 maxended=0 inflight=0")
+	for i := 0; i < cfg.Appends && !cfg.Verify; i++ {
+		vclock.WallSleep(fakeAckPace)
+		n++
+		if err := os.WriteFile(path, []byte(strconv.FormatUint(n, 10)), 0o644); err != nil {
+			fmt.Printf("bad append: %v\n", err)
+			os.Exit(chaos.KillWorkerBad)
+		}
+		fmt.Printf("len %d\n", n)
 	}
-	t.Logf("%d rounds: kills=%d clean=%d finalLen=%d torn=%d repaired=%d\n%s",
-		killAcceptanceRounds, res.Kills, res.CleanExits, res.FinalLen, res.TornWrites, res.RepairedWrites, res.Phases)
+	fmt.Println("done")
+	os.Exit(chaos.KillWorkerOK)
+}
+
+// TestKillPointCountsAcks pins where a kill lands: a round whose kill
+// point is the k-th ack (k > 0) dies after exactly k acks, however long
+// the worker took to start.
+func TestKillPointCountsAcks(t *testing.T) {
+	res, err := chaos.RunKillCampaign(chaos.KillConfig{
+		Rounds:       8,
+		Seed:         5,
+		MaxKillDelay: fakeStartup / 5,
+		Root:         t.TempDir(),
+		Appends:      3,
+		Worker:       selfWorker(t, "TestFakeKillWorker"),
+	})
+	if err != nil {
+		t.Fatalf("RunKillCampaign: %v", err)
+	}
+	for _, f := range res.Failures {
+		t.Errorf("violation: %s", f)
+	}
+	checked := 0
+	for _, r := range res.Trace.Rounds {
+		if !r.Killed || r.KillAfter == 0 {
+			continue
+		}
+		checked++
+		if r.Acked != uint64(r.KillAfter) {
+			t.Errorf("round %d: killed after %d acks, want the kill point %d", r.Round, r.Acked, r.KillAfter)
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no round was killed at an ack; trace rounds: %+v", res.Trace.Rounds)
+	}
 }

@@ -60,8 +60,8 @@ func RegressionTrace(w harness.Workload, procs, ops int, f *Failure, note string
 // ReplayTrace re-executes the simulated campaign a recorded trace
 // describes and returns the fresh trace plus the first divergence (nil:
 // the replay reproduced the recording exactly). Only the simulated
-// kinds replay here; the SIGKILL kinds need a live worker harness
-// (ReplayKillTrace, ReplayReplKillTrace).
+// kinds replay here; the SIGKILL kind needs a live worker harness
+// (ReplayKillTrace).
 func ReplayTrace(rec *schedtrace.Trace) (*schedtrace.Trace, *schedtrace.Divergence, error) {
 	switch rec.Header.Kind {
 	case schedtrace.KindCampaign:
@@ -114,11 +114,12 @@ func replayRegression(rec *schedtrace.Trace) (*schedtrace.Trace, *schedtrace.Div
 	return got, schedtrace.Diff(rec, got), nil
 }
 
-// ReplayKillTrace re-runs the SIGKILL campaign a KindKill trace records,
-// against the supplied worker builder, and diffs the fresh schedule
-// against the recorded one (observed outcomes do not gate; see the
-// trace package doc).
-func ReplayKillTrace(rec *schedtrace.Trace, worker func(verify bool) *exec.Cmd) (*KillResult, *schedtrace.Divergence, error) {
+// ReplayKillTrace re-runs the SIGKILL campaign a KindKill trace
+// records — same rounds, seed, kill window, member count and worker
+// shape — over a fresh root, against the supplied worker builder, and
+// diffs the fresh schedule against the recorded one (observed outcomes
+// do not gate; see the trace package doc).
+func ReplayKillTrace(rec *schedtrace.Trace, root string, worker func(KillWorkerConfig) *exec.Cmd) (*KillResult, *schedtrace.Divergence, error) {
 	if rec.Header.Kind != schedtrace.KindKill {
 		return nil, nil, fmt.Errorf("chaos: trace kind %q, want %q", rec.Header.Kind, schedtrace.KindKill)
 	}
@@ -126,28 +127,10 @@ func ReplayKillTrace(rec *schedtrace.Trace, worker func(verify bool) *exec.Cmd) 
 		Rounds:       rec.Header.Rounds,
 		Seed:         rec.Header.Seed,
 		MaxKillDelay: time.Duration(rec.Header.MaxDelayUS) * time.Microsecond,
-		Worker:       worker,
-	})
-	if err != nil {
-		return res, nil, err
-	}
-	return res, schedtrace.Diff(rec, res.Trace), nil
-}
-
-// ReplayReplKillTrace re-runs the replica-fault campaign a KindReplKill
-// trace records, against a fresh root, and diffs the fresh schedule
-// against the recorded one.
-func ReplayReplKillTrace(rec *schedtrace.Trace, root string, worker func(verify bool, faultDir, faultAfter, faultFor int, seed int64) *exec.Cmd) (*ReplKillResult, *schedtrace.Divergence, error) {
-	if rec.Header.Kind != schedtrace.KindReplKill {
-		return nil, nil, fmt.Errorf("chaos: trace kind %q, want %q", rec.Header.Kind, schedtrace.KindReplKill)
-	}
-	res, err := RunReplKillCampaign(ReplKillConfig{
-		Rounds:       rec.Header.Rounds,
-		Seed:         rec.Header.Seed,
-		MaxKillDelay: time.Duration(rec.Header.MaxDelayUS) * time.Microsecond,
 		Root:         root,
 		Replicas:     rec.Header.Replicas,
 		Appends:      rec.Header.Appends,
+		Capacity:     rec.Header.Capacity,
 		Worker:       worker,
 	})
 	if err != nil {

@@ -8,7 +8,7 @@
 // ops, seed, replica count); each round line records what the seeded
 // schedule chose (derived run seed, fired crash sites, fault kind and
 // target, kill delay, virtual-time advance) and what the run concluded
-// (verdict, stuck, partial — or, for the real-kill kinds, the observed
+// (verdict, stuck, partial — or, for the real-kill kind, the observed
 // kill phase and recovery report).
 //
 // Replay reads a trace, re-executes the campaign it describes, and
@@ -17,8 +17,8 @@
 // structured "the code's behavior has drifted" verdict. Which fields
 // Diff compares depends on the kind: simulated campaigns are
 // deterministic end-to-end, so every field must match; the SIGKILL
-// kinds re-derive their schedule choices from the seed (those must
-// match) but observe real process timing (kill phase, recovered
+// kind re-derives its schedule choices from the seed (those must
+// match) but observes real process timing (kill phase, recovered
 // length), which replays report but do not gate on.
 package trace
 
@@ -44,13 +44,11 @@ const (
 	// crash placement of one failure), the format of the committed
 	// corpus under internal/chaos/testdata/regressions.
 	KindRegression = "regression"
-	// KindKill is a real SIGKILL campaign: the kill-delay schedule is
-	// deterministic, the kill outcomes are observed.
+	// KindKill is a real SIGKILL campaign over a store or a replica
+	// set (Header.Replicas members): the worker seed, replica fault,
+	// kill point and kill delay are deterministic; the kill outcomes
+	// are observed.
 	KindKill = "kill"
-	// KindReplKill is the replica-fault SIGKILL campaign: fault kind,
-	// target, arming window, worker seed and kill delay are
-	// deterministic; outcomes are observed.
-	KindReplKill = "replkill"
 )
 
 // Header is the first trace line: the campaign's identity and full
@@ -72,7 +70,7 @@ type Header struct {
 	Boost      float64 `json:"boost,omitempty"`
 	MaxCrashes int     `json:"max_crashes,omitempty"`
 	Target     string  `json:"target,omitempty"`
-	// Rounds/Appends/Capacity/Replicas/MaxDelayUS shape the kill kinds.
+	// Rounds/Appends/Capacity/Replicas/MaxDelayUS shape the kill kind.
 	Rounds     int   `json:"rounds,omitempty"`
 	Appends    int   `json:"appends,omitempty"`
 	Capacity   int   `json:"capacity,omitempty"`
@@ -88,33 +86,37 @@ type Header struct {
 type Round struct {
 	Round int `json:"round"`
 	// Seed is the round's derived seed: the run seed of a simulated
-	// campaign, the worker jitter seed of a replkill round.
+	// campaign, the worker jitter seed of a kill round.
 	Seed int64 `json:"seed,omitempty"`
 
 	// Schedule choices — deterministic for every kind.
 	//
 	// Sites is the fired crash placement (FormatSites form); Crashes
 	// its count. Fault/FaultDir/FaultAfter/FaultFor are the replica
-	// injury and its arming window; DelayUS the chosen kill delay.
+	// injury and its arming window. KillAfter is the kill point: the
+	// kill lands DelayUS after the worker's KillAfter-th acknowledged
+	// append, or DelayUS after exec when KillAfter is 0.
 	Sites      string `json:"sites,omitempty"`
 	Crashes    int    `json:"crashes,omitempty"`
 	Fault      string `json:"fault,omitempty"`
 	FaultDir   int    `json:"fault_dir,omitempty"`
 	FaultAfter int    `json:"fault_after,omitempty"`
 	FaultFor   int    `json:"fault_for,omitempty"`
+	KillAfter  int    `json:"kill_after,omitempty"`
 	DelayUS    int64  `json:"delay_us,omitempty"`
 	// VTimeUS is the round's virtual-time advance (vclock sleeps plus
 	// the scheduled delay), deterministic alongside the choices above.
 	VTimeUS int64 `json:"vtime_us,omitempty"`
 
 	// Simulated-campaign verdicts — deterministic for KindCampaign and
-	// KindRegression, absent for the kill kinds.
+	// KindRegression, absent for the kill kind.
 	Stuck     bool   `json:"stuck,omitempty"`
 	Partial   bool   `json:"partial,omitempty"`
 	Violation string `json:"violation,omitempty"`
 
 	// Observed outcomes — real process timing; recorded for forensics,
-	// never gated on by Diff.
+	// never gated on by Diff. Recovered is the log length the worker
+	// recovered; Acked how many appends it acknowledged after that.
 	Killed    bool   `json:"killed,omitempty"`
 	Phase     string `json:"phase,omitempty"`
 	Exit      int    `json:"exit,omitempty"`
@@ -270,6 +272,7 @@ var scheduleFields = []field{
 	{"fault_dir", func(r *Round) string { return str(r.FaultDir) }},
 	{"fault_after", func(r *Round) string { return str(r.FaultAfter) }},
 	{"fault_for", func(r *Round) string { return str(r.FaultFor) }},
+	{"kill_after", func(r *Round) string { return str(r.KillAfter) }},
 	{"delay_us", func(r *Round) string { return str(r.DelayUS) }},
 }
 
@@ -283,7 +286,7 @@ var verdictFields = []field{
 }
 
 // Deterministic reports whether kind's verdict fields replay exactly
-// (true for the simulated kinds, false for the SIGKILL kinds, whose
+// (true for the simulated kinds, false for the SIGKILL kind, whose
 // outcomes ride real process timing).
 func Deterministic(kind string) bool {
 	return kind == KindCampaign || kind == KindRegression

@@ -151,4 +151,9 @@ func TestKillKindIgnoresObserved(t *testing.T) {
 	if d == nil || d.Round != 1 || d.Field != "delay_us" {
 		t.Fatalf("divergence = %+v, want round 1 delay_us", d)
 	}
+	got.Rounds[1].KillAfter = 3 // the kill point is schedule too
+	d = schedtrace.Diff(want, got)
+	if d == nil || d.Round != 1 || d.Field != "kill_after" {
+		t.Fatalf("divergence = %+v, want round 1 kill_after", d)
+	}
 }

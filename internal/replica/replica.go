@@ -366,6 +366,14 @@ func (s *Set) LeaderDir() string {
 	return s.leaderDir
 }
 
+// Report returns the serving leader's recovery report: what its
+// store's recovery found and repaired when it was opened as leader.
+func (s *Set) Report() persist.RecoveryReport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.leader.Report()
+}
+
 // Quorum returns the majority threshold (len(Dirs)/2 + 1).
 func (s *Set) Quorum() int { return s.quorum }
 

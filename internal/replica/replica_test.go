@@ -387,6 +387,42 @@ func TestOpenSkipsCorruptDirectory(t *testing.T) {
 	}
 }
 
+// TestReportCountsLeaderRepair: a torn data page in the member the
+// election picks is repaired from its WAL, and Report says so.
+func TestReportCountsLeaderRepair(t *testing.T) {
+	ds := dirs(t, 3)
+	s := openSet(t, replica.Options{Dirs: ds, Seed: 42})
+	s.Grow(0, 0)
+	s.Grow(6, 0)
+	if err := s.Commit([]nvm.WordUpdate{{Addr: 0, Val: 41}, {Addr: 6, Val: 42}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	// Every member holds the same (epoch, prefix), so the lowest index
+	// wins the next election. Tear its page 1 (addr 6) mid-write.
+	fd, err := os.OpenFile(filepath.Join(ds[0], "data"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fd.WriteAt([]byte("torn!torn!torn!torn!torn!torn!ha"), 64+1*64); err != nil {
+		t.Fatal(err)
+	}
+	fd.Close()
+
+	s2 := openSet(t, replica.Options{Dirs: ds, Seed: 42})
+	defer s2.Close()
+	if s2.LeaderDir() != ds[0] {
+		t.Fatalf("leader = %s, want %s", s2.LeaderDir(), ds[0])
+	}
+	if rep := s2.Report(); rep.Torn != 1 || rep.Repaired != 1 {
+		t.Fatalf("Report() = %+v, want Torn=1 Repaired=1", rep)
+	}
+	if got, ok := s2.Recovered(6); !ok || got != 42 {
+		t.Fatalf("Recovered(6) = %d,%v after repair, want 42,true", got, ok)
+	}
+}
+
 // TestSingleDirDegenerates: one directory is an unreplicated store —
 // same API, quorum of one.
 func TestSingleDirDegenerates(t *testing.T) {

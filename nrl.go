@@ -373,15 +373,17 @@ const (
 	PhaseMidCommit = nvm.PhaseMidCommit
 )
 
-// Real-crash kill harness (see internal/chaos and cmd/nrlchaos -real).
+// Real-crash kill harness (see internal/chaos and cmd/nrlchaos -real):
+// one worker and one campaign, over a replica set of KillConfig.Replicas
+// stores (one store by default).
 type (
 	// KillConfig configures a real process-kill campaign.
 	KillConfig = chaos.KillConfig
-	// KillResult summarises a kill campaign.
+	// KillResult summarises a kill campaign; its Trace carries every
+	// round.
 	KillResult = chaos.KillResult
-	// KillRound records one worker incarnation.
-	KillRound = chaos.KillRound
-	// KillWorkerConfig configures one kill-harness worker incarnation.
+	// KillWorkerConfig configures one kill-harness worker incarnation;
+	// the campaign builds one per round for KillConfig.Worker.
 	KillWorkerConfig = chaos.KillWorkerConfig
 	// PhaseCoverage tabulates which persistence phases kills landed in.
 	PhaseCoverage = chaos.PhaseCoverage
@@ -389,8 +391,9 @@ type (
 
 // Kill-harness entry points, re-exported.
 var (
-	// RunKillCampaign SIGKILLs worker processes at seeded random points
-	// and verifies every restart recovers an NRL-consistent state.
+	// RunKillCampaign SIGKILLs worker processes at seeded kill points
+	// (injuring one member per round when a quorum survives it) and
+	// verifies every restart recovers an NRL-consistent state.
 	RunKillCampaign = chaos.RunKillCampaign
 	// RunKillWorker runs one worker incarnation (call from a subprocess
 	// entry point; see cmd/nrlchaos -realworker).
