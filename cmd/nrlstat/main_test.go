@@ -223,7 +223,7 @@ func TestServeOnce(t *testing.T) {
 	if err := json.Unmarshal([]byte(o[i:]), &flat); err != nil {
 		t.Fatalf("metrics not JSON: %v\n%s", err, o)
 	}
-	for _, k := range []string{"nvm.ops_total", "flightrec.seq", "trace.events_total"} {
+	for _, k := range []string{"nvm.ops_total", "flightrec.seq", "flightrec.ended"} {
 		if _, ok := flat[k]; !ok {
 			t.Errorf("metrics missing %q", k)
 		}

@@ -10,14 +10,13 @@ import (
 	"nrl"
 	"nrl/internal/flightrec"
 	"nrl/internal/telemetry"
-	"nrl/internal/trace"
 )
 
 // runServe is the serve subcommand: run the counter scenario once with
-// full instrumentation (trace ring + flight recorder), then keep the
-// telemetry plane up on -addr until the process is killed. It exists
-// for live inspection and for CI's endpoint smoke test; the metrics
-// document reflects the completed workload.
+// the always-on flight recorder and no tracer, then keep the telemetry
+// plane up on -addr until the process is killed. It exists for live
+// inspection and for CI's endpoint smoke test; the metrics document
+// reflects the completed workload.
 func runServe(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("nrlstat serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address for the telemetry plane")
@@ -28,9 +27,8 @@ func runServe(args []string, w io.Writer) error {
 		return err
 	}
 
-	ring := trace.NewRing(1 << 16)
 	frec := flightrec.NewRecorder(flightrec.Options{})
-	sys := nrl.NewSystem(nrl.Config{Procs: *procs, Tracer: ring, FlightRec: frec})
+	sys := nrl.NewSystem(nrl.Config{Procs: *procs, FlightRec: frec})
 	ctr := nrl.NewCounter(sys, "ctr")
 	bodies := map[int]func(*nrl.Ctx){}
 	for p := 1; p <= *procs; p++ {
@@ -47,8 +45,7 @@ func runServe(args []string, w io.Writer) error {
 	reg := telemetry.NewRegistry()
 	reg.Register("nvm", telemetry.Memory(sys.Mem()))
 	reg.Register("flightrec", telemetry.Recorder(frec))
-	reg.Register("trace", telemetry.Ring(ring))
-	reg.RegisterHealth("nvm", telemetry.MemoryHealth(sys.Mem()))
+	reg.RegisterHealth("nvm", sys.Mem().Err)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

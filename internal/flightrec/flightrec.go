@@ -215,8 +215,8 @@ type Options struct {
 // store's commit fences.
 type Recorder struct {
 	slots    []slot
-	nslots   uint64 // always a power of two
-	slotMask uint64 // nslots - 1
+	nslots   uint64        // always a power of two
+	slotMask uint64        // nslots - 1
 	seq      atomic.Uint64 // records issued; record seq s occupies slot (s-1)&slotMask
 	deep     bool
 
@@ -231,10 +231,8 @@ type Recorder struct {
 	headerSent bool
 	scratch    []byte
 
-	recMu    sync.Mutex
-	recs     []Record
-	recValid int
-	recTorn  int
+	recMu sync.Mutex
+	recs  []Record
 }
 
 // nameTables is one immutable interning snapshot.
@@ -288,29 +286,26 @@ func (r *Recorder) Dropped() uint64 {
 	return s - r.nslots
 }
 
-// Record writes one record into the ring. In shallow mode, begin/end
-// records at depth > 1 and all checkpoint records are dropped before
-// encoding; crash and recovery records are always written. The path is
-// lock-free and allocation-free once the record's names are interned.
+// Keeps reports whether the recorder writes a record of kind at nesting
+// depth: shallow mode drops begin/end records at depth > 1 and all
+// checkpoint records; crash and recovery records are always written.
+func (r *Recorder) Keeps(kind Kind, depth int) bool {
+	return r.deep || kind != KindCheckpoint &&
+		(depth <= 1 || kind != KindBegin && kind != KindEnd)
+}
+
+// Record writes one record into the ring unless Keeps drops it, which
+// it checks before interning the record's names. The path is lock-free
+// and allocation-free once those names are interned.
 func (r *Recorder) Record(rec Rec) {
-	if !r.deep {
-		switch rec.Kind {
-		case KindCheckpoint:
-			return
-		case KindBegin, KindEnd:
-			if rec.Depth > 1 {
-				return
-			}
-		}
+	if !r.Keeps(rec.Kind, rec.Depth) {
+		return
 	}
 	var ref Ref
 	if rec.Kind.Lifecycle() {
 		ref = r.Ref(rec.Obj, rec.Op)
 	}
-	w0 := uint64(rec.Kind) | uint64(sat8(rec.P))<<8 | uint64(sat8(rec.Depth))<<16
-	w1 := uint64(uint32(ref)) |
-		uint64(sat16(rec.LI))<<32 | uint64(sat16(rec.Attempt))<<48
-	r.putWords(w0, w1, rec.Val, uint64(uint32(rec.GStep)))
+	r.RecordOp(rec.Kind, rec.P, rec.Depth, ref, rec.LI, rec.Attempt, rec.Val, rec.GStep)
 }
 
 // Ref is a pre-resolved operation attribution: the record's interned
@@ -339,18 +334,11 @@ func (r *Recorder) Ref(obj, op string) Ref {
 
 // RecordOp is the zero-lookup record path: Record for a lifecycle kind
 // whose attribution was pre-resolved with Ref. It applies the same
-// shallow-mode drops and writes an identical record; gstep is truncated
-// to the record's 32-bit field as usual.
+// Keeps drop and writes an identical record; gstep is truncated to the
+// record's 32-bit field as usual.
 func (r *Recorder) RecordOp(kind Kind, p, depth int, ref Ref, li, attempt int, val, gstep uint64) {
-	if !r.deep {
-		switch kind {
-		case KindCheckpoint:
-			return
-		case KindBegin, KindEnd:
-			if depth > 1 {
-				return
-			}
-		}
+	if !r.Keeps(kind, depth) {
+		return
 	}
 	w0 := uint64(kind) | uint64(sat8(p))<<8 | uint64(sat8(depth))<<16
 	w1 := uint64(uint32(ref)) |
@@ -587,8 +575,6 @@ func (r *Recorder) Recover(img []byte) (valid, torn int) {
 	recs, valid, torn := Decode(img)
 	r.recMu.Lock()
 	r.recs = recs
-	r.recValid = valid
-	r.recTorn = torn
 	r.recMu.Unlock()
 
 	// Reload the raw image into the ring so a future full-ring sync does
@@ -661,13 +647,6 @@ func (r *Recorder) Recovered() []Record {
 	r.recMu.Lock()
 	defer r.recMu.Unlock()
 	return r.recs
-}
-
-// RecoveredCounts returns Recover's (valid, torn) result again.
-func (r *Recorder) RecoveredCounts() (valid, torn int) {
-	r.recMu.Lock()
-	defer r.recMu.Unlock()
-	return r.recValid, r.recTorn
 }
 
 // Snapshot decodes the ring's current in-memory contents, newest window

@@ -104,7 +104,7 @@ func TestReconstructHarnessCounters(t *testing.T) {
 		t.Fatalf("begun/ended vals = %d/%d, want 6/5", pr.MaxBegunVal, pr.MaxEndedVal)
 	}
 	if rep.Commits != 5 || rep.CommitWords != 15 || rep.Fences != 5 {
-		t.Errorf("commits=%d words=%d fences=%d", rep.Commits, rep.CommitWords, rep.CommitWords)
+		t.Errorf("commits=%d words=%d fences=%d", rep.Commits, rep.CommitWords, rep.Fences)
 	}
 	if pr.LastFenceSeq == 0 || pr.LastFenceSeq > pr.LastSeq {
 		t.Errorf("fence seq %d vs last %d", pr.LastFenceSeq, pr.LastSeq)

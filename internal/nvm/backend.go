@@ -3,8 +3,6 @@ package nvm
 import (
 	"errors"
 	"fmt"
-
-	"nrl/internal/trace"
 )
 
 // Backend turns a Memory's simulated persistence into real persistence:
@@ -174,25 +172,17 @@ func (m *Memory) Err() error {
 }
 
 // degrade records the first degradation cause and makes the memory
-// read-only. The layer constructing the *DegradedError announces it
-// with a MemDegraded event: if the backend already handed us one, it
-// has already emitted through its own tracer and the memory stays
-// quiet; a plain cause is wrapped and announced here.
+// read-only. A cause that is not already a *DegradedError (as a
+// persist.File's is) is wrapped in one.
 func (m *Memory) degrade(err error) {
 	m.degMu.Lock()
-	var announce bool
+	defer m.degMu.Unlock()
 	if m.degErr == nil {
 		if _, ok := err.(*DegradedError); !ok {
 			err = &DegradedError{Cause: err} //nrl:ignore degraded-mode error path; backend has already failed
-			announce = true
 		}
 		m.degErr = err
 		m.degraded.Store(true)
-	}
-	cause := m.degErr
-	m.degMu.Unlock()
-	if announce && m.trc != nil {
-		m.trc.Emit(trace.Event{Kind: trace.MemDegraded, Addr: int32(InvalidAddr), Name: cause.Error()})
 	}
 }
 

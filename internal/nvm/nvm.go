@@ -136,22 +136,14 @@ func (m *Memory) Mode() Mode { return m.mode }
 
 // SetTracer installs a trace sink receiving one event per memory
 // primitive. It must be called before the memory is shared between
-// goroutines (proc.NewSystem installs Config.Tracer here). nil and
-// trace.Nop both leave the primitives untraced: no events are
-// constructed at all (see trace.Active).
-func (m *Memory) SetTracer(t trace.Tracer) { m.trc = trace.Active(t) }
-
-// Tracer returns the installed trace sink (nil if none, or if the
-// installed sink was trace.Nop).
-func (m *Memory) Tracer() trace.Tracer { return m.trc }
+// goroutines (proc.NewSystem installs Config.Tracer here). nil leaves
+// the primitives untraced: no events are constructed at all.
+func (m *Memory) SetTracer(t trace.Tracer) { m.trc = t }
 
 // SetRecorder installs a flight recorder receiving one fence marker per
 // drained fence. Like SetTracer, it must be called before the memory is
 // shared (proc.NewSystem installs Config.FlightRec here).
 func (m *Memory) SetRecorder(r FenceRecorder) { m.frec = r }
-
-// Recorder returns the installed fence recorder (nil if none).
-func (m *Memory) Recorder() FenceRecorder { return m.frec }
 
 // emit sends one memory-primitive event. With no tracer installed it is
 // a single predictable branch — no event construction, no allocation —

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"nrl/internal/nvm"
-	"nrl/internal/trace"
 	"nrl/internal/vclock"
 )
 
@@ -55,10 +54,6 @@ type Options struct {
 	// syncs outside the store lock, so concurrent commits call it for
 	// "wal.fsync" concurrently.
 	Inject func(op string) error
-	// Tracer, when non-nil, receives one MemCommit event per commit
-	// (latency, batch size, retries) and one MemDegraded on
-	// degradation.
-	Tracer trace.Tracer
 	// PhaseHook observes the commit-side persistence phases: Fenced
 	// when a record's fsync lands (the atomic commit point) and
 	// MidCommit while data pages are rewritten in place.
@@ -107,8 +102,9 @@ type Shipper interface {
 
 // BlackBox is the persistence contract between the store and a flight
 // recorder. It is satisfied by *flightrec.Recorder; the store only
-// needs region geometry, crash reconstruction and dirty-slot syncing,
-// and depending on the interface keeps the packages decoupled.
+// needs region geometry, crash reconstruction, dirty-slot syncing and
+// the commit marker, and depending on the interface keeps the packages
+// decoupled.
 type BlackBox interface {
 	// SizeBytes is the full region size the recorder persists.
 	SizeBytes() int64
@@ -118,6 +114,10 @@ type BlackBox interface {
 	// Sync rewrites the slots dirtied since the last call through pw
 	// (write b at region offset off).
 	Sync(pw func(b []byte, off int64) error) error
+	// RecordCommit records the marker for commit sequence seq making
+	// words words durable. The store calls it before the region sync
+	// that precedes the commit's WAL sync.
+	RecordCommit(seq, words uint64)
 }
 
 func (o Options) withDefaults() Options {
@@ -233,7 +233,6 @@ type ShipRec struct {
 type File struct {
 	dir  string
 	opts Options
-	trc  trace.Tracer
 	ship Shipper
 
 	mu sync.Mutex
@@ -290,8 +289,7 @@ func Open(dir string, opts Options) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	f := &File{dir: dir, opts: opts, trc: trace.Active(opts.Tracer), data: data,
-		ret: retrier{opts: opts}}
+	f := &File{dir: dir, opts: opts, data: data, ret: retrier{opts: opts}}
 	f.cond.L = &f.mu
 	if opts.BlackBox != nil {
 		f.bbox, err = os.OpenFile(filepath.Join(dir, BlackBoxName), os.O_RDWR|os.O_CREATE, 0o644)
@@ -410,7 +408,6 @@ func (f *File) growLocked(a int) {
 // and every earlier commit's have. The commit that leaves none in flight
 // rewrites the queued data pages and runs a due rotation or checkpoint.
 func (f *File) Commit(batch []nvm.WordUpdate) error {
-	start := time.Now() //nrl:ignore telemetry timestamp: commit latency for the MemCommit trace event, never a scheduling input
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for f.hold > 0 && f.degraded == nil {
@@ -419,7 +416,6 @@ func (f *File) Commit(batch []nvm.WordUpdate) error {
 	if f.degraded != nil {
 		return f.degraded
 	}
-	retriesBefore := f.ret.retries.Load()
 	// The sync's file is taken before the record is written; see
 	// takeSyncFileLocked.
 	sf, err := f.takeSyncFileLocked()
@@ -463,19 +459,7 @@ func (f *File) Commit(batch []nvm.WordUpdate) error {
 		f.quiescentLocked()
 	}
 	f.cond.Broadcast()
-	if f.degraded != nil {
-		return f.degraded
-	}
-	if f.trc != nil {
-		f.trc.Emit(trace.Event{
-			Kind:    trace.MemCommit,
-			Addr:    int32(nvm.InvalidAddr),
-			Ret:     uint64(len(batch)),
-			Attempt: int(f.ret.retries.Load() - retriesBefore),
-			DurUS:   uint64(time.Since(start).Microseconds()), //nrl:ignore telemetry timestamp: trace-event latency attribution only
-		})
-	}
-	return nil
+	return f.degraded
 }
 
 // appendLocked assigns the next sequence to batch, applies it to the
@@ -488,8 +472,8 @@ func (f *File) appendLocked(batch []nvm.WordUpdate) error {
 	// The commit marker rides the very fence it describes: it is in the
 	// ring before the region sync below, which lands before the WAL
 	// sync that makes this commit durable.
-	if cr, ok := f.opts.BlackBox.(interface{ RecordCommit(seq, words uint64) }); ok {
-		cr.RecordCommit(f.seq, uint64(len(batch)))
+	if f.opts.BlackBox != nil {
+		f.opts.BlackBox.RecordCommit(f.seq, uint64(len(batch)))
 	}
 	idxs := f.idxs[:0]
 	for _, u := range batch {
@@ -866,18 +850,11 @@ func (f *File) checkpointLocked() error {
 	return nil
 }
 
-// degradeLocked sticks the degradation error and emits one MemDegraded
-// event. Every subsequent Commit fails immediately with the same error.
+// degradeLocked sticks the degradation error. Every subsequent Commit
+// fails immediately with the same error.
 func (f *File) degradeLocked(err error) error {
 	if f.degraded == nil {
 		f.degraded = &nvm.DegradedError{Cause: fmt.Errorf("persist: %w", err)}
-		if f.trc != nil {
-			f.trc.Emit(trace.Event{
-				Kind: trace.MemDegraded,
-				Addr: int32(nvm.InvalidAddr),
-				Name: f.degraded.Error(),
-			})
-		}
 	}
 	return f.degraded
 }

@@ -23,8 +23,8 @@ type Config struct {
 	// operation lifecycle transition (invoke/response/crash/recover/
 	// recover-done) and — installed into Mem via nvm.Memory.SetTracer —
 	// for every NVRAM primitive, attributed to the issuing process and
-	// operation. nil (or trace.Nop, which normalizes to nil) skips event
-	// construction entirely; see internal/trace for the sinks.
+	// operation. nil skips event construction entirely; see
+	// internal/trace for the sinks.
 	Tracer trace.Tracer
 	// FlightRec, if non-nil, receives a crash-surviving flight-recorder
 	// record for every operation lifecycle transition (begin/end at top
@@ -102,9 +102,8 @@ func NewSystem(cfg Config) *System {
 	if budget == 0 {
 		budget = DefaultAwaitBudget
 	}
-	tracer := trace.Active(cfg.Tracer)
-	if tracer != nil {
-		mem.SetTracer(tracer)
+	if cfg.Tracer != nil {
+		mem.SetTracer(cfg.Tracer)
 	}
 	if cfg.FlightRec != nil {
 		mem.SetRecorder(cfg.FlightRec)
@@ -112,7 +111,7 @@ func NewSystem(cfg Config) *System {
 	s := &System{
 		mem:           mem,
 		rec:           cfg.Recorder,
-		tracer:        tracer,
+		tracer:        cfg.Tracer,
 		frec:          cfg.FlightRec,
 		frecDeep:      cfg.FlightRec != nil && cfg.FlightRec.DeepMode(),
 		inj:           inj,
@@ -135,9 +134,6 @@ func (s *System) N() int { return len(s.procs) - 1 }
 
 // Mem returns the shared NVRAM.
 func (s *System) Mem() *nvm.Memory { return s.mem }
-
-// Tracer returns the configured trace sink (nil if tracing is off).
-func (s *System) Tracer() trace.Tracer { return s.tracer }
 
 // Proc returns process p (1-based).
 func (s *System) Proc(p int) *Proc { return s.procs[p] }
@@ -357,12 +353,10 @@ func (p *Proc) recordFR(kind flightrec.Kind, fr *frame, val uint64) {
 	if r == nil {
 		return
 	}
-	depth := p.depth
-	// Mirror the recorder's shallow-mode drop before resolving the
-	// attribution: a nested begin/end that will be dropped anyway should
-	// not pay (or trigger) name interning.
-	if !p.sys.frecDeep && depth > 1 &&
-		(kind == flightrec.KindBegin || kind == flightrec.KindEnd) {
+	// Apply the recorder's shallow-mode drop before resolving the
+	// attribution: a record that will be dropped anyway should not pay
+	// (or trigger) name interning.
+	if !r.Keeps(kind, p.depth) {
 		return
 	}
 	if !fr.frefOK {
@@ -373,7 +367,7 @@ func (p *Proc) recordFR(kind flightrec.Kind, fr *frame, val uint64) {
 		}
 		fr.fref, fr.frefOK = p.frefCache, true
 	}
-	r.RecordOp(kind, p.id, depth, fr.fref,
+	r.RecordOp(kind, p.id, p.depth, fr.fref,
 		fr.li, fr.attempts, val, p.sys.globalSteps.Load())
 }
 

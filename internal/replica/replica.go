@@ -438,11 +438,5 @@ func (b *liveBox) Recover(img []byte) (valid, torn int) {
 // Sync implements persist.BlackBox.
 func (b *liveBox) Sync(pw func(b []byte, off int64) error) error { return b.inner.Sync(pw) }
 
-// RecordCommit forwards the commit marker when the recorder supports it
-// (the store discovers the method by assertion, which would otherwise
-// stop at this wrapper).
-func (b *liveBox) RecordCommit(seq, words uint64) {
-	if cr, ok := b.inner.(interface{ RecordCommit(seq, words uint64) }); ok {
-		cr.RecordCommit(seq, words)
-	}
-}
+// RecordCommit implements persist.BlackBox.
+func (b *liveBox) RecordCommit(seq, words uint64) { b.inner.RecordCommit(seq, words) }

@@ -493,6 +493,33 @@ func TestMemoryOverReplicaSet(t *testing.T) {
 	}
 }
 
+// TestCommitMarkersReachRecorder: each commit through the set lands one
+// commit marker in the caller's recorder, carrying the batch's size.
+func TestCommitMarkersReachRecorder(t *testing.T) {
+	rec := flightrec.NewRecorder(flightrec.Options{})
+	opts := fastOpts(dirs(t, 3))
+	opts.Persist.BlackBox = rec
+	s := openSet(t, opts)
+	defer s.Close()
+	var batch []nvm.WordUpdate
+	for a := nvm.Addr(0); a < 6; a++ {
+		s.Grow(a, 0)
+		batch = append(batch, nvm.WordUpdate{Addr: a, Val: 1})
+		if err := s.Commit(batch); err != nil {
+			t.Fatalf("Commit of %d words: %v", len(batch), err)
+		}
+	}
+	var words []uint64
+	for _, r := range rec.Snapshot() {
+		if r.Kind == flightrec.KindCommit {
+			words = append(words, r.Val)
+		}
+	}
+	if got := fmt.Sprint(words); got != "[1 2 3 4 5 6]" {
+		t.Fatalf("commit markers carry %s words, want one marker per batch: [1 2 3 4 5 6]", got)
+	}
+}
+
 // TestFlightRecorderRidesFailover: the black box is attached to the
 // leader's store; after promotion its ring must be rewritten wholesale
 // into the new leader's directory, so a post-crash forensics read of

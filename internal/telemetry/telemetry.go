@@ -4,10 +4,11 @@
 // and pprof endpoints.
 //
 // Nothing in the simulator imports this package; callers hand it the
-// pieces they already hold (an nvm.Memory, a persist.File, a
-// flightrec.Recorder, a trace ring) via the adapter constructors and
-// mount the resulting handler wherever they like. Sampling happens per
-// request, so an idle endpoint costs nothing.
+// pieces they already hold (an nvm.Memory, a flightrec.Recorder) via
+// the adapter constructors and mount the resulting handler wherever
+// they like. Sampling happens per request, so an idle endpoint costs
+// nothing. Neither sampler needs a tracer: the operation counts come
+// from the always-on flight recorder.
 package telemetry
 
 import (
@@ -19,9 +20,8 @@ import (
 	"sync"
 
 	"nrl/internal/flightrec"
+	"nrl/internal/flightrec/forensics"
 	"nrl/internal/nvm"
-	"nrl/internal/persist"
-	"nrl/internal/trace"
 )
 
 // Sampler produces one metric group's current values. Keys are joined
@@ -173,77 +173,35 @@ func Memory(m *nvm.Memory) Sampler {
 	}
 }
 
-// Recorder adapts a flight recorder's ring counters into a metric
-// group.
+// Recorder adapts a flight recorder into a metric group: its ring
+// counters, plus the lifecycle counts of the records in its current
+// window (dropped says how many older records the ring has overwritten).
+// The window is decoded per sample; rings are small by construction.
 func Recorder(rec *flightrec.Recorder) Sampler {
 	return func() map[string]any {
-		return map[string]any{
-			"seq":     rec.Seq(),
-			"slots":   rec.Slots(),
-			"dropped": rec.Dropped(),
-			"deep":    rec.DeepMode(),
-		}
-	}
-}
-
-// Store adapts a persist.File's I/O counters and recovery report into a
-// metric group, and its degradation state into a health check
-// (RegisterHealth it separately if wanted).
-func Store(f *persist.File) Sampler {
-	return func() map[string]any {
-		commits, retries, checkpoints := f.Metrics()
-		rep := f.Report()
-		out := map[string]any{
-			"commits":          commits,
-			"retries":          retries,
-			"checkpoints":      checkpoints,
-			"recovered_torn":   rep.Torn,
-			"recovered_repair": rep.Repaired,
-			"blackbox_records": rep.BlackBoxRecords,
-			"blackbox_torn":    rep.BlackBoxTorn,
-			"degraded":         f.Err() != nil,
-		}
-		return out
-	}
-}
-
-// StoreHealth returns a health check that fails once the store has
-// degraded to read-only.
-func StoreHealth(f *persist.File) func() error {
-	return func() error { return f.Err() }
-}
-
-// MemoryHealth returns a health check that fails once the memory has
-// degraded.
-func MemoryHealth(m *nvm.Memory) func() error {
-	return func() error { return m.Err() }
-}
-
-// Ring adapts a bounded trace ring into a metric group: raw ring
-// counters plus the aggregate profile of the events currently in the
-// window (rebuilt per sample; rings are small by construction).
-func Ring(r *trace.Ring) Sampler {
-	return func() map[string]any {
-		p := trace.Build(r.Events())
-		var invokes, completes, crashes, recoveries uint64
-		for _, pr := range p.PerProc {
-			invokes += pr.Invokes
-			completes += pr.Completes
+		rep := forensics.Reconstruct(rec.Snapshot(), 0)
+		var begun, ended, crashes, enters, exits uint64
+		for _, pr := range rep.Procs {
+			begun += pr.Begun
+			ended += pr.Ended
 			crashes += pr.Crashes
-			recoveries += pr.Recoveries
+			enters += pr.RecoverEnters
+			exits += pr.RecoverExits
 		}
 		return map[string]any{
-			"events_total":   r.Total(),
-			"events_dropped": r.Dropped(),
-			"window_events":  p.Events,
-			"invokes":        invokes,
-			"completes":      completes,
+			"seq":            rec.Seq(),
+			"slots":          rec.Slots(),
+			"dropped":        rec.Dropped(),
+			"deep":           rec.DeepMode(),
+			"begun":          begun,
+			"ended":          ended,
 			"crashes":        crashes,
-			"recoveries":     recoveries,
-			"fences":         p.Fences,
-			"commits":        p.Commits,
-			"commit_words":   p.CommitWords,
-			"degraded":       p.Degraded,
+			"recover_enters": enters,
+			"recover_exits":  exits,
+			"fences":         rep.Fences,
+			"commits":        rep.Commits,
+			"commit_words":   rep.CommitWords,
+			"in_flight":      uint64(rep.InFlightTotal()),
 		}
 	}
 }

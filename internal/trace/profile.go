@@ -156,16 +156,6 @@ type Profile struct {
 	// fence count (fences order all objects' flushes at once).
 	Events uint64
 	Fences uint64
-	// Commits, CommitWords and CommitRetries aggregate backend MemCommit
-	// events (fences made durable for real by a storage backend);
-	// CommitLatUS is the distribution of commit latencies in
-	// microseconds. Degraded counts MemDegraded events — a healthy run
-	// has zero.
-	Commits       uint64
-	CommitWords   uint64
-	CommitRetries uint64
-	CommitLatUS   Hist
-	Degraded      uint64
 }
 
 // Objects returns the object profiles sorted by name.
@@ -309,13 +299,6 @@ func Build(events []Event) *Profile {
 			if e.P > 0 {
 				p.proc(e.P).Mem.add(e.Kind)
 			}
-		case MemCommit:
-			p.Commits++
-			p.CommitWords += e.Ret
-			p.CommitRetries += uint64(e.Attempt)
-			p.CommitLatUS.Add(e.DurUS)
-		case MemDegraded:
-			p.Degraded++
 		}
 	}
 	return p

@@ -12,15 +12,13 @@
 // questions the history cannot: where recovery work concentrates, how many
 // flushes and fences a completed operation costs, how deep crashes nest.
 //
-// Sinks implement the Tracer interface. Three are provided:
+// Sinks implement the Tracer interface. Two are provided:
 //
-//   - Nop: discards events. A nil Tracer in proc.Config disables event
-//     construction entirely, and Nop normalizes to nil at install (see
-//     Active), so tracing to Nop costs what tracing off does.
 //   - Ring: a bounded in-memory ring buffer, for building profiles.
 //   - JSONL: a buffered writer emitting one JSON object per line.
 //
-// Multi fans one stream out to several sinks (e.g. Ring + JSONL).
+// Multi fans one stream out to several sinks (e.g. Ring + JSONL). A nil
+// Tracer in proc.Config disables event construction entirely.
 package trace
 
 import (
@@ -58,14 +56,6 @@ const (
 	MemFAA   // fetch-and-add on an NVRAM word
 	MemFlush // CLWB analogue: capture a word for the next fence
 	MemFence // SFENCE analogue: drain the issuing process's captures
-	// MemCommit marks a durable backend making a fence's flushed words
-	// durable for real (pwrite+fsync): Ret is the number of words in the
-	// batch, Attempt the I/O retries the commit needed, DurUS its
-	// wall-clock latency in microseconds.
-	MemCommit
-	// MemDegraded marks the memory degrading to read-only after
-	// exhausting its I/O retry budget; Name carries the cause.
-	MemDegraded
 )
 
 var kindNames = map[Kind]string{
@@ -81,8 +71,6 @@ var kindNames = map[Kind]string{
 	MemFAA:      "mem-faa",
 	MemFlush:    "mem-flush",
 	MemFence:    "mem-fence",
-	MemCommit:   "mem-commit",
-	MemDegraded: "mem-degraded",
 }
 
 // String returns the kind's wire name (e.g. "recover-done").
@@ -113,9 +101,7 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("trace: unknown event kind %q", s)
 }
 
-// Mem reports whether k is a memory-primitive kind. The backend
-// lifecycle kinds MemCommit and MemDegraded are not primitives: they
-// describe what the storage layer did with already-counted primitives.
+// Mem reports whether k is a memory-primitive kind.
 func (k Kind) Mem() bool { return k >= MemRead && k <= MemFence }
 
 // Event is one trace event. Which fields are meaningful depends on Kind;
@@ -152,18 +138,13 @@ type Event struct {
 	// Addr is the NVRAM address of a memory event; -1 for non-memory
 	// events and for Fence (which has no single target).
 	Addr int32 `json:"addr"`
-	// Name is the allocation name of the word a MemFlush targets, or the
-	// cause of a MemDegraded event.
+	// Name is the allocation name of the word a MemFlush targets.
 	Name string `json:"name,omitempty"`
 	// Args are the operation arguments (Invoke only).
 	Args []uint64 `json:"args,omitempty"`
 	// Ret is the operation response (Response/RecoverDone) or the value
-	// read/written/returned by a memory primitive. For MemCommit it is
-	// the number of words the backend committed.
+	// read/written/returned by a memory primitive.
 	Ret uint64 `json:"ret,omitempty"`
-	// DurUS is the wall-clock duration of a backend commit in
-	// microseconds (MemCommit only).
-	DurUS uint64 `json:"dur_us,omitempty"`
 }
 
 // Attr carries the issuing-operation attribution a memory primitive is
@@ -191,29 +172,6 @@ func Root(name string) string {
 		return name[:i]
 	}
 	return name
-}
-
-// Nop discards all events. Installation points (proc.Config.Tracer,
-// nvm.Memory.SetTracer) normalize it to nil via Active, so a Nop-traced
-// system takes the same no-event fast path as an untraced one — "tracing
-// off" and "tracing to Nop" cost exactly the same.
-type Nop struct{}
-
-// Emit implements Tracer.
-func (Nop) Emit(Event) {}
-
-// Active returns the tracer a component should actually dispatch to: nil
-// for nil or Nop (both mean "don't construct events"), t unchanged
-// otherwise. Emission sites guard with a plain nil check; this keeps the
-// Nop sink at literal zero cost rather than event-construction cost.
-func Active(t Tracer) Tracer {
-	if t == nil {
-		return nil
-	}
-	if _, ok := t.(Nop); ok {
-		return nil
-	}
-	return t
 }
 
 // Multi fans events out to every member tracer, in order.

@@ -14,7 +14,6 @@ func TestKindStrings(t *testing.T) {
 	kinds := []Kind{
 		Invoke, Response, Crash, Recover, RecoverDone,
 		MemRead, MemWrite, MemCAS, MemTAS, MemFAA, MemFlush, MemFence,
-		MemCommit, MemDegraded,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -33,7 +32,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestKindJSONRoundTrip(t *testing.T) {
-	for k := Invoke; k <= MemDegraded; k++ {
+	for k := Invoke; k <= MemFence; k++ {
 		b, err := json.Marshal(k)
 		if err != nil {
 			t.Fatalf("marshal %v: %v", k, err)
@@ -61,12 +60,6 @@ func TestKindMem(t *testing.T) {
 	for k := MemRead; k <= MemFence; k++ {
 		if !k.Mem() {
 			t.Errorf("%v.Mem() = false", k)
-		}
-	}
-	// Backend lifecycle events are not primitives.
-	for _, k := range []Kind{MemCommit, MemDegraded} {
-		if k.Mem() {
-			t.Errorf("%v.Mem() = true", k)
 		}
 	}
 }
@@ -232,28 +225,6 @@ func TestMultiFansOut(t *testing.T) {
 	m.Emit(Event{Kind: Crash})
 	if a.Total() != 1 || b.Total() != 1 {
 		t.Errorf("Multi did not fan out: %d, %d", a.Total(), b.Total())
-	}
-}
-
-func TestNopDiscards(t *testing.T) {
-	var tr Tracer = Nop{}
-	tr.Emit(Event{Kind: Invoke}) // must not panic; nothing observable
-}
-
-func TestActive(t *testing.T) {
-	if Active(nil) != nil {
-		t.Error("Active(nil) != nil")
-	}
-	if Active(Nop{}) != nil {
-		t.Error("Active(Nop{}) != nil — Nop must normalize to the no-event path")
-	}
-	r := NewRing(4)
-	if Active(r) != Tracer(r) {
-		t.Error("Active must pass real sinks through unchanged")
-	}
-	m := Multi{Nop{}}
-	if Active(m) == nil {
-		t.Error("Active must not unwrap composite tracers")
 	}
 }
 

@@ -83,9 +83,6 @@ type (
 	// JSONLTracer streams events to an io.Writer, one JSON object per
 	// line.
 	JSONLTracer = trace.JSONL
-	// NopTracer discards events. It is normalized to nil at install time,
-	// so it costs exactly as much as no tracer at all.
-	NopTracer = trace.Nop
 	// MultiTracer fans events out to several sinks.
 	MultiTracer = trace.Multi
 	// TraceProfile aggregates a trace into per-object and per-process
