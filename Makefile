@@ -34,32 +34,27 @@ doclint: vet
 lint: vet nrlvet race
 
 # Regenerate the committed performance baselines (BENCH_experiments.json,
-# BENCH_nvm.json, BENCH_objects.json, BENCH_persist.json — schema
-# nrl-bench/1, see internal/bench). Run on a quiet machine and commit
-# the result when performance changes on purpose; CI gates against these
-# files via bench-check. EXPERIMENTS.md's E-tables render from
+# the one in-memory suite, and BENCH_persist.json — schema nrl-bench/1,
+# see internal/bench). Run on a quiet machine and commit the result when
+# performance changes on purpose; CI gates against these files via
+# bench-check. EXPERIMENTS.md's E-tables render from
 # BENCH_experiments.json (`go run ./cmd/nrlbench BENCH_experiments.json`).
 bench:
 	$(GO) run ./cmd/nrlbench -json .
 
-# Re-run the suites into a scratch directory and gate against the
-# committed baselines (>15% ns/op growth, a new allocation, or a
-# vanished benchmark fails), then hold the flight-recorder rows to their
-# overhead budget and the objects and persist suites to their absolute
-# allocs-per-op caps (bench.AllocCaps: 0 per objects row since the
-# frame-arena refactor — the absolute gate needs no baseline, so an
-# allocating baseline can never grandfather an allocation in) within
-# the fresh report.
+# Re-run both suites into a scratch directory and gate each against its
+# committed baseline: >15% ns/op growth, a new allocation, or a vanished
+# benchmark fails. Each -compare also applies its suite's absolute gates
+# to the fresh report: the allocs-per-op caps (bench.AllocCaps: 0 for
+# ten recoverable-op experiments rows since the frame-arena refactor, a
+# per-row cap for the persist suite) and the flight-recorder overhead
+# budget (bench.OverheadPairs). They need no baseline, so an allocating
+# baseline can never grandfather an allocation in.
 bench-check:
 	rm -rf bench-out && mkdir -p bench-out
 	$(GO) run ./cmd/nrlbench -json bench-out
 	$(GO) run ./cmd/nrlbench -compare BENCH_experiments.json bench-out/BENCH_experiments.json
-	$(GO) run ./cmd/nrlbench -compare BENCH_nvm.json bench-out/BENCH_nvm.json
-	$(GO) run ./cmd/nrlbench -compare BENCH_objects.json bench-out/BENCH_objects.json
 	$(GO) run ./cmd/nrlbench -compare BENCH_persist.json bench-out/BENCH_persist.json
-	$(GO) run ./cmd/nrlbench -overhead bench-out/BENCH_objects.json
-	$(GO) run ./cmd/nrlbench -alloccap bench-out/BENCH_objects.json
-	$(GO) run ./cmd/nrlbench -alloccap bench-out/BENCH_persist.json
 
 # Every suite's specs under testing.B (bench_test.go's BenchmarkSuites)
 # for interactive work; the committed BENCH_*.json baselines come from

@@ -1,5 +1,5 @@
 // BenchmarkSuites runs every internal/bench suite under testing.B: the
-// Spec values `nrlbench -json` measures, EXPERIMENTS.md's E1–E10 rows
+// Spec values `nrlbench -json` measures, EXPERIMENTS.md's E1–E13 rows
 // included, one sub-benchmark per suite/spec.
 package nrl_test
 

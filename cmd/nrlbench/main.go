@@ -1,31 +1,23 @@
 // Command nrlbench prints the experiment tables of EXPERIMENTS.md
-// (E1–E10) from rows of the experiments suite (internal/bench): -exp
+// (E1–E13) from rows of the experiments suite (internal/bench): -exp
 // measures the rows its tables read, or renders them from a report file
 // given as the argument, such as the committed BENCH_experiments.json.
 //
 // It is also the front end of the machine-comparable benchmark pipeline
-// (internal/bench): -json runs the registered suites and writes
-// schema-versioned BENCH_<suite>.json reports, and -compare diffs two
-// such reports, failing (exit 1) on any ns/op or allocs/op regression
-// beyond -threshold — the CI regression gate. -overhead checks the
-// flight-recorder rows of an objects report against their bare
-// baselines within the same report, failing when the recorder costs
-// more than its budget (bench.RecorderOverheadBudget) or allocates on
-// the record path. -alloccap checks a report against the suite's
-// absolute allocs-per-op caps (bench.AllocCaps — 0 for every row of the
-// objects suite since the frame-arena refactor, a per-row cap for the
-// persist suite), failing on any breach
-// or on a capped benchmark missing from the report; unlike -compare,
-// this gate needs no baseline, so a baseline that itself allocates can
-// never grandfather an allocation in.
+// (internal/bench): -json runs the registered suites (experiments and
+// persist) and writes schema-versioned BENCH_<suite>.json reports, and
+// -compare diffs two such reports — the CI gate. It fails (exit 1) on a
+// ns/op or allocs/op regression beyond -threshold, a vanished row, or a
+// breached or missing row of the suite's absolute gates, which read the
+// new report alone, so no baseline can grandfather a breach in: the
+// allocs-per-op caps (bench.AllocCaps) and the flight-recorder overhead
+// budget (bench.OverheadPairs).
 //
 // Usage:
 //
 //	nrlbench [-exp E1,E3,...] [-benchops N] [BENCH_experiments.json]
 //	nrlbench -json DIR [-suite NAME,...|all] [-benchops N]
 //	nrlbench -compare old.json new.json [-threshold 0.15]
-//	nrlbench -overhead BENCH_objects.json
-//	nrlbench -alloccap BENCH_objects.json|BENCH_persist.json
 package main
 
 import (
@@ -48,25 +40,17 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("nrlbench", flag.ContinueOnError)
-	expFlag := fs.String("exp", "all", "comma-separated experiment tables to print (E1..E10) or 'all'")
+	expFlag := fs.String("exp", "all", "comma-separated experiment tables to print (E1..E13) or 'all'")
 	jsonDir := fs.String("json", "", "run the benchmark suites and write BENCH_<suite>.json reports into this directory")
 	suite := fs.String("suite", "all", fmt.Sprintf("with -json: which suites to run (%s, all)", strings.Join(bench.SuiteNames(), ", ")))
 	benchOps := fs.Int("benchops", 0, "total operations per benchmark (0 = the suite's default)")
-	compare := fs.Bool("compare", false, "compare two BENCH_*.json reports (old new) and fail on regressions")
+	compare := fs.Bool("compare", false, "compare two BENCH_*.json reports (old new) and fail on regressions or a breached cap or overhead budget")
 	threshold := fs.Float64("threshold", bench.DefaultThreshold, "with -compare: relative ns/op growth tolerated before failing")
-	overhead := fs.String("overhead", "", "check the flight-recorder overhead budget within this objects report")
-	allocCap := fs.String("alloccap", "", "check this report against the suite's absolute allocs-per-op caps")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *compare {
 		return runCompare(fs.Args(), *threshold)
-	}
-	if *overhead != "" {
-		return runOverhead(*overhead)
-	}
-	if *allocCap != "" {
-		return runAllocCap(*allocCap)
 	}
 	if *jsonDir != "" {
 		return runSuites(*jsonDir, *suite, *benchOps)
@@ -149,7 +133,7 @@ func runSuites(dir, suite string, benchOps int) error {
 }
 
 // runCompare diffs a baseline report against a fresh one and returns a
-// non-nil error (exit 1) when the regression gate trips.
+// non-nil error (exit 1) when any of the suite's gates trips.
 func runCompare(paths []string, threshold float64) error {
 	if len(paths) != 2 {
 		return fmt.Errorf("-compare needs exactly two report paths (old new), got %d", len(paths))
@@ -168,35 +152,4 @@ func runCompare(paths []string, threshold float64) error {
 	}
 	c.Fprint(os.Stdout)
 	return c.Gate()
-}
-
-// runAllocCap evaluates a report against its suite's absolute
-// allocs-per-op caps and returns a non-nil error (exit 1) on any breach
-// or missing capped benchmark.
-func runAllocCap(path string) error {
-	report, err := bench.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	caps := bench.AllocCaps(report.Suite)
-	if len(caps) == 0 {
-		return fmt.Errorf("suite %q has no registered allocs-per-op caps", report.Suite)
-	}
-	results := bench.CheckAllocCaps(report, caps)
-	fmt.Printf("absolute allocs-per-op caps (%s)\n", path)
-	bench.FprintAllocCaps(os.Stdout, results)
-	return bench.GateAllocCaps(results)
-}
-
-// runOverhead evaluates the recorder-overhead budget pairs within one
-// report and returns a non-nil error (exit 1) on any breach.
-func runOverhead(path string) error {
-	report, err := bench.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	results := bench.Overhead(report, bench.OverheadPairs())
-	fmt.Printf("flight-recorder overhead (%s)\n", path)
-	bench.FprintOverhead(os.Stdout, results)
-	return bench.GateOverhead(results)
 }

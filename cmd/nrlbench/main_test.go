@@ -25,7 +25,7 @@ func TestRunRendersCommittedReport(t *testing.T) {
 	if err := run([]string{"../../BENCH_experiments.json"}); err != nil {
 		t.Errorf("run = %v", err)
 	}
-	if err := run([]string{"-exp", "E1", "../../BENCH_nvm.json"}); err == nil {
+	if err := run([]string{"-exp", "E1", "../../BENCH_persist.json"}); err == nil {
 		t.Error("rendered E1 from a report without its rows")
 	}
 }

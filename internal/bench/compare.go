@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 )
@@ -27,7 +28,11 @@ type Delta struct {
 	AllocRegression bool
 }
 
-// Comparison is the result of diffing two reports of the same suite.
+// Comparison is the result of diffing two reports of the same suite,
+// together with the verdicts of the suite's absolute gates on the fresh
+// report: its allocs-per-op caps (AllocCaps) and overhead budgets
+// (OverheadPairs). Those read the fresh report alone, so no baseline can
+// grandfather an allocation or an overhead in.
 type Comparison struct {
 	Suite       string
 	Threshold   float64
@@ -35,6 +40,8 @@ type Comparison struct {
 	OnlyOld     []string // benchmarks that disappeared (treated as failures by Gate)
 	OnlyNew     []string // newly added benchmarks (informational)
 	EnvMismatch string   // non-empty when the reports came from different environments
+	Caps        []CapResult
+	Overhead    []OverheadResult
 }
 
 // Regressions returns the deltas that exceeded the threshold (on either
@@ -50,11 +57,12 @@ func (c *Comparison) Regressions() []Delta {
 }
 
 // Gate returns an error when the comparison should fail a CI run: any
-// ns/op or allocs/op regression beyond the threshold, or a benchmark
-// that vanished (a silently dropped benchmark would otherwise retire its
-// own gate).
+// ns/op or allocs/op regression beyond the threshold, a benchmark that
+// vanished (a silently dropped benchmark would otherwise retire its own
+// gate), a breached or missing allocs-per-op cap, or a breached or
+// missing overhead pair.
 func (c *Comparison) Gate() error {
-	var ns, allocs int
+	var ns, allocs, breaches, missing, pairs int
 	for _, d := range c.Deltas {
 		if d.Regression {
 			ns++
@@ -63,20 +71,42 @@ func (c *Comparison) Gate() error {
 			allocs++
 		}
 	}
+	for _, cr := range c.Caps {
+		if cr.Breach {
+			breaches++
+		}
+		if cr.Missing {
+			missing++
+		}
+	}
+	for _, res := range c.Overhead {
+		if res.TimeBreach || res.AllocBreach || res.Missing != "" {
+			pairs++
+		}
+	}
+	var errs []error
 	if n := len(c.Regressions()); n > 0 {
-		return fmt.Errorf("bench: %d benchmark(s) regressed beyond %.0f%% (%d on ns/op, %d on allocs/op)",
-			n, c.Threshold*100, ns, allocs)
+		errs = append(errs, fmt.Errorf("bench: %d benchmark(s) regressed beyond %.0f%% (%d on ns/op, %d on allocs/op)",
+			n, c.Threshold*100, ns, allocs))
 	}
 	if len(c.OnlyOld) > 0 {
-		return fmt.Errorf("bench: %d baseline benchmark(s) missing from the new report: %v", len(c.OnlyOld), c.OnlyOld)
+		errs = append(errs, fmt.Errorf("bench: %d baseline benchmark(s) missing from the new report: %v", len(c.OnlyOld), c.OnlyOld))
 	}
-	return nil
+	if breaches > 0 || missing > 0 {
+		errs = append(errs, fmt.Errorf("bench: absolute allocs-per-op cap failed (%d breach(es), %d capped benchmark(s) missing)",
+			breaches, missing))
+	}
+	if pairs > 0 {
+		errs = append(errs, fmt.Errorf("bench: %d overhead pair(s) breached their budget or are missing", pairs))
+	}
+	return errors.Join(errs...)
 }
 
 // Compare diffs two reports benchmark-by-benchmark on ns/op: base is
 // the committed baseline, head the fresh run. threshold <= 0 selects
-// DefaultThreshold. The suites must match; comparing an nvm report
-// against an objects report is always a mistake.
+// DefaultThreshold. The suites must match; comparing an experiments
+// report against a persist report is always a mistake. The suite's caps
+// and overhead pairs are evaluated on head.
 func Compare(base, head *Report, threshold float64) (*Comparison, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
@@ -90,7 +120,12 @@ func Compare(base, head *Report, threshold float64) (*Comparison, error) {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
-	c := &Comparison{Suite: base.Suite, Threshold: threshold}
+	c := &Comparison{
+		Suite:     base.Suite,
+		Threshold: threshold,
+		Caps:      CheckAllocCaps(head, AllocCaps(head.Suite)),
+		Overhead:  Overhead(head, OverheadPairs(head.Suite)),
+	}
 	if base.Go != head.Go || base.GOOS != head.GOOS || base.GOARCH != head.GOARCH || base.CPUs != head.CPUs {
 		c.EnvMismatch = fmt.Sprintf("%s %s/%s %d CPUs vs %s %s/%s %d CPUs",
 			base.Go, base.GOOS, base.GOARCH, base.CPUs, head.Go, head.GOOS, head.GOARCH, head.CPUs)
@@ -129,7 +164,8 @@ func Compare(base, head *Report, threshold float64) (*Comparison, error) {
 }
 
 // Fprint renders the comparison as an aligned table with one verdict
-// per benchmark (ok / REGRESSED / missing / new).
+// per benchmark (ok / REGRESSED / missing / new), followed by the cap
+// and overhead verdicts when the suite registers any.
 func (c *Comparison) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "suite %s (threshold %.0f%%)\n", c.Suite, c.Threshold*100)
 	if c.EnvMismatch != "" {
@@ -159,5 +195,13 @@ func (c *Comparison) Fprint(w io.Writer) {
 	}
 	for _, name := range c.OnlyNew {
 		fmt.Fprintf(w, "  %-*s  new benchmark (no baseline)\n", width, name)
+	}
+	if len(c.Caps) > 0 {
+		fmt.Fprintln(w, "absolute allocs-per-op caps (new report)")
+		FprintAllocCaps(w, c.Caps)
+	}
+	if len(c.Overhead) > 0 {
+		fmt.Fprintln(w, "flight-recorder overhead (new report)")
+		FprintOverhead(w, c.Overhead)
 	}
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,11 +18,11 @@ func fixture(suite string, ns map[string]float64) *Report {
 }
 
 func TestCompareFlagsRegression(t *testing.T) {
-	base := fixture("nvm", map[string]float64{
+	base := fixture("test", map[string]float64{
 		"CASPersist": 100,
 		"Write":      20,
 	})
-	head := fixture("nvm", map[string]float64{
+	head := fixture("test", map[string]float64{
 		"CASPersist": 130, // +30%: regression at a 15% threshold
 		"Write":      21,  // +5%: within threshold
 	})
@@ -46,8 +48,8 @@ func TestCompareFlagsRegression(t *testing.T) {
 }
 
 func TestComparePassesWithinThreshold(t *testing.T) {
-	base := fixture("nvm", map[string]float64{"CASPersist": 100})
-	head := fixture("nvm", map[string]float64{"CASPersist": 114}) // +14%
+	base := fixture("test", map[string]float64{"CASPersist": 100})
+	head := fixture("test", map[string]float64{"CASPersist": 114}) // +14%
 	c, err := Compare(base, head, 0.15)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
@@ -61,8 +63,8 @@ func TestComparePassesWithinThreshold(t *testing.T) {
 }
 
 func TestCompareImprovementIsNotRegression(t *testing.T) {
-	base := fixture("nvm", map[string]float64{"CASPersist": 7000})
-	head := fixture("nvm", map[string]float64{"CASPersist": 56})
+	base := fixture("test", map[string]float64{"CASPersist": 7000})
+	head := fixture("test", map[string]float64{"CASPersist": 56})
 	c, err := Compare(base, head, 0.15)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
@@ -76,8 +78,8 @@ func TestCompareImprovementIsNotRegression(t *testing.T) {
 }
 
 func TestCompareMissingBenchmarkFailsGate(t *testing.T) {
-	base := fixture("nvm", map[string]float64{"CASPersist": 100, "Gone": 50})
-	head := fixture("nvm", map[string]float64{"CASPersist": 100, "Fresh": 10})
+	base := fixture("test", map[string]float64{"CASPersist": 100, "Gone": 50})
+	head := fixture("test", map[string]float64{"CASPersist": 100, "Fresh": 10})
 	c, err := Compare(base, head, 0.15)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
@@ -94,16 +96,16 @@ func TestCompareMissingBenchmarkFailsGate(t *testing.T) {
 }
 
 func TestCompareRejectsSuiteMismatch(t *testing.T) {
-	base := fixture("nvm", map[string]float64{"X": 1})
-	head := fixture("objects", map[string]float64{"X": 1})
+	base := fixture("experiments", map[string]float64{"X": 1})
+	head := fixture("persist", map[string]float64{"X": 1})
 	if _, err := Compare(base, head, 0.15); err == nil {
 		t.Fatal("Compare accepted reports from different suites")
 	}
 }
 
 func TestCompareDefaultThreshold(t *testing.T) {
-	base := fixture("nvm", map[string]float64{"X": 100})
-	head := fixture("nvm", map[string]float64{"X": 114})
+	base := fixture("test", map[string]float64{"X": 100})
+	head := fixture("test", map[string]float64{"X": 114})
 	c, err := Compare(base, head, 0) // 0 selects DefaultThreshold (15%)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
@@ -117,8 +119,8 @@ func TestCompareDefaultThreshold(t *testing.T) {
 }
 
 func TestCompareEnvMismatchIsNoted(t *testing.T) {
-	base := fixture("nvm", map[string]float64{"X": 100})
-	head := fixture("nvm", map[string]float64{"X": 100})
+	base := fixture("test", map[string]float64{"X": 100})
+	head := fixture("test", map[string]float64{"X": 100})
 	head.Go = "go1.99.0"
 	c, err := Compare(base, head, 0.15)
 	if err != nil {
@@ -142,12 +144,12 @@ func allocFixture(suite string, rows map[string][2]float64) *Report {
 }
 
 func TestCompareFlagsAllocRegression(t *testing.T) {
-	base := allocFixture("objects", map[string][2]float64{
+	base := allocFixture("test", map[string][2]float64{
 		"Hot":   {100, 4},
 		"Noise": {100, 0.2}, // rounding jitter on a near-zero rate
 		"Wide":  {100, 20},  // one more alloc on a 20-alloc op
 	})
-	head := allocFixture("objects", map[string][2]float64{
+	head := allocFixture("test", map[string][2]float64{
 		"Hot":   {100, 6},    // two new allocations: regression
 		"Noise": {100, 0.45}, // +0.25 absolute: under the half-alloc floor
 		"Wide":  {100, 21},   // +1 absolute but only +5% relative
@@ -170,37 +172,38 @@ func TestCompareFlagsAllocRegression(t *testing.T) {
 
 func TestOverheadGate(t *testing.T) {
 	pair := OverheadPair{Base: "Bare", Inst: "Instrumented", Budget: 0.15}
+	gate := func(res []OverheadResult) error { return (&Comparison{Overhead: res}).Gate() }
 
-	within := allocFixture("objects", map[string][2]float64{
+	within := allocFixture("test", map[string][2]float64{
 		"Bare": {100, 4}, "Instrumented": {112, 4},
 	})
 	res := Overhead(within, []OverheadPair{pair})
-	if err := GateOverhead(res); err != nil {
+	if err := gate(res); err != nil {
 		t.Fatalf("12%% overhead failed a 15%% budget: %v", err)
 	}
 
-	over := allocFixture("objects", map[string][2]float64{
+	over := allocFixture("test", map[string][2]float64{
 		"Bare": {100, 4}, "Instrumented": {120, 4},
 	})
 	res = Overhead(over, []OverheadPair{pair})
-	if err := GateOverhead(res); err == nil {
+	if err := gate(res); err == nil {
 		t.Fatal("20% overhead passed a 15% budget")
 	}
 	if !res[0].TimeBreach || res[0].AllocBreach {
 		t.Fatalf("result = %+v, want a time-only breach", res[0])
 	}
 
-	allocs := allocFixture("objects", map[string][2]float64{
+	allocs := allocFixture("test", map[string][2]float64{
 		"Bare": {100, 4}, "Instrumented": {105, 5},
 	})
 	res = Overhead(allocs, []OverheadPair{pair})
-	if err := GateOverhead(res); err == nil {
+	if err := gate(res); err == nil {
 		t.Fatal("an extra allocation passed the budget")
 	}
 
-	missing := allocFixture("objects", map[string][2]float64{"Bare": {100, 4}})
+	missing := allocFixture("test", map[string][2]float64{"Bare": {100, 4}})
 	res = Overhead(missing, []OverheadPair{pair})
-	if err := GateOverhead(res); err == nil {
+	if err := gate(res); err == nil {
 		t.Fatal("a vanished instrumented row passed the gate")
 	}
 	if res[0].Missing != "Instrumented" {
@@ -213,7 +216,7 @@ func TestOverheadTwoEstimators(t *testing.T) {
 	report := func(base, inst Result) *Report {
 		base.Name, inst.Name = "Bare", "Instrumented"
 		base.Ops, inst.Ops = 1000, 1000
-		r := newReport("objects")
+		r := newReport("test")
 		r.Results = append(r.Results, base, inst)
 		return r
 	}
@@ -255,19 +258,143 @@ func TestOverheadTwoEstimators(t *testing.T) {
 	}
 }
 
-func TestOverheadPairsResolveInObjectsSuite(t *testing.T) {
-	// The registry must name real rows: every pair member has to be a
-	// spec of the objects suite, or the budget silently gates nothing.
-	names := map[string]bool{}
-	for _, s := range ObjectsSuite() {
-		names[s.Name] = true
+// TestOverheadPairsResolveInExperimentsSuite: every pair member is an
+// experiments-suite spec, or the budget silently gates nothing, and each
+// instrumented row directly follows its baseline, so the pair's
+// segments run back to back in every pass of the interleaved group.
+func TestOverheadPairsResolveInExperimentsSuite(t *testing.T) {
+	at := map[string]int{}
+	for i, s := range ExperimentsSuite() {
+		at[s.Name] = i
 	}
-	for _, p := range OverheadPairs() {
-		if !names[p.Base] {
-			t.Errorf("pair baseline %q is not an objects-suite spec", p.Base)
+	pairs := OverheadPairs("experiments")
+	if len(pairs) != 2 {
+		t.Fatalf("%d experiments overhead pairs, want 2", len(pairs))
+	}
+	for _, p := range pairs {
+		b, okB := at[p.Base]
+		i, okI := at[p.Inst]
+		if !okB || !okI {
+			t.Errorf("pair %q/%q: base in suite %v, inst in suite %v", p.Base, p.Inst, okB, okI)
+			continue
 		}
-		if !names[p.Inst] {
-			t.Errorf("pair row %q is not an objects-suite spec", p.Inst)
+		if i != b+1 {
+			t.Errorf("%q is row %d, its baseline %q row %d: not adjacent", p.Inst, i, p.Base, b)
 		}
+	}
+	if pairs := OverheadPairs("persist"); pairs != nil {
+		t.Errorf("persist suite has overhead pairs %v, want none", pairs)
+	}
+}
+
+// gatedReport is an experiments report holding every capped and every
+// pair row at 100 ns/op and 0 allocs/op, so it passes every gate.
+func gatedReport() *Report {
+	r := newReport("experiments")
+	names := map[string]bool{}
+	for name := range AllocCaps("experiments") {
+		names[name] = true
+	}
+	for _, p := range OverheadPairs("experiments") {
+		names[p.Base], names[p.Inst] = true, true
+	}
+	for name := range names {
+		r.Results = append(r.Results, Result{Name: name, Ops: 1000, NsPerOp: 100})
+	}
+	return r
+}
+
+// TestCompareGateAppliesCapsAndOverhead: with every delta clean, Gate
+// still fails on a breached cap, a missing capped row, a breached
+// overhead pair and a missing pair row. Each case edits the baseline
+// the same way, so the gates read the new report and no baseline can
+// grandfather a breach in.
+func TestCompareGateAppliesCapsAndOverhead(t *testing.T) {
+	c, err := Compare(gatedReport(), gatedReport(), 0)
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
+	}
+	if err := c.Gate(); err != nil {
+		t.Fatalf("clean comparison gated: %v", err)
+	}
+	if len(c.Caps) != len(AllocCaps("experiments")) || len(c.Overhead) != len(OverheadPairs("experiments")) {
+		t.Fatalf("Compare evaluated %d caps and %d pairs", len(c.Caps), len(c.Overhead))
+	}
+	set := func(name string, f func(*Result)) func(*Report) {
+		return func(r *Report) {
+			for i := range r.Results {
+				if r.Results[i].Name == name {
+					f(&r.Results[i])
+				}
+			}
+		}
+	}
+	drop := func(name string) func(*Report) {
+		return func(r *Report) {
+			r.Results = slices.DeleteFunc(r.Results, func(res Result) bool { return res.Name == name })
+		}
+	}
+	capped, inst := "Stack/PushPop/recoverable/mode=Buffered", OverheadPairs("experiments")[1].Inst
+	for _, tc := range []struct {
+		name string
+		edit func(*Report)
+		want string
+	}{
+		{"cap breached", set(capped, func(r *Result) { r.AllocsPerOp = 0.2 }), "1 breach(es)"},
+		{"capped row missing", drop(capped), "1 capped benchmark(s) missing"},
+		{"overhead breached", set(inst, func(r *Result) { r.NsPerOp = 130 }), "overhead pair"},
+		{"pair row missing", drop(inst), "overhead pair"},
+	} {
+		base, head := gatedReport(), gatedReport()
+		tc.edit(base)
+		tc.edit(head)
+		c, err := Compare(base, head, 0)
+		if err != nil {
+			t.Fatalf("%s: Compare: %v", tc.name, err)
+		}
+		if len(c.Regressions()) != 0 || len(c.OnlyOld) != 0 {
+			t.Fatalf("%s: deltas not clean: %+v, only old %v", tc.name, c.Regressions(), c.OnlyOld)
+		}
+		err = c.Gate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Gate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		var sb strings.Builder
+		c.Fprint(&sb)
+		if out := sb.String(); !strings.Contains(out, "BREACH") && !strings.Contains(out, "MISSING") {
+			t.Errorf("%s: Fprint shows no verdict:\n%s", tc.name, out)
+		}
+	}
+}
+
+// TestComparePersistAppliesCaps: a persist-suite comparison applies the
+// persist caps, and only those.
+func TestComparePersistAppliesCaps(t *testing.T) {
+	caps := AllocCaps("persist")
+	report := func(allocs float64) *Report {
+		r := newReport("persist")
+		for name, cap := range caps {
+			r.Results = append(r.Results, Result{Name: name, Ops: 1000, NsPerOp: 100, AllocsPerOp: cap + allocs})
+		}
+		return r
+	}
+	c, err := Compare(report(0), report(0), 0)
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
+	}
+	if len(c.Caps) != len(caps) || len(c.Overhead) != 0 {
+		t.Fatalf("persist comparison evaluated %d caps (want %d) and %d pairs", len(c.Caps), len(caps), len(c.Overhead))
+	}
+	if err := c.Gate(); err != nil {
+		t.Fatalf("rows at their caps gated: %v", err)
+	}
+	// A tenth of an allocation over every cap: under the relative
+	// gate's half-allocation floor, over the caps' epsilon.
+	c, err = Compare(report(0.1), report(0.1), 0)
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
+	}
+	if err := c.Gate(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d breach(es)", len(caps))) {
+		t.Errorf("Gate = %v, want every persist cap breached", err)
 	}
 }

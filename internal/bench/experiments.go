@@ -7,6 +7,7 @@ import (
 
 	"nrl/internal/baseline"
 	"nrl/internal/core"
+	"nrl/internal/flightrec"
 	"nrl/internal/harness"
 	"nrl/internal/history"
 	"nrl/internal/linearize"
@@ -26,14 +27,15 @@ import (
 // ops (0.1–4 µs) run the suite default, baseline and raw NVRAM ops
 // (10–100 ns) rawOps, and rows whose op is costlier, builds a fresh
 // object or checks a whole history carry their own count. Memory bounds
-// the test-and-set pools instead: a pool holds a fresh object for every
-// op of every pass.
+// the test-and-set pools and the Alloc row instead: a pool holds a fresh
+// object, and Alloc adds a word, for every op of every pass.
 const (
 	experimentsDefaultOps = 10_000
 	experimentsRounds     = 4 // a repeat runs at most 24 passes (see MeasureGroup)
 	experimentsRepeats    = 3
 	rawOps                = 150_000
 	tasOps                = 10_000  // baseline T&S: a fresh object per op
+	allocOps              = 20_000  // E11's Alloc: a fresh 80-byte word per op
 	recTASOps             = 2000    // recoverable T&S: a fresh object per op
 	tasRoundOps           = 200     // E6: a fresh object and N processes per op
 	uniLog                = 250     // E10: INCs per universal object (see poolRow)
@@ -172,8 +174,7 @@ func checkerRow(ops, checks int) Spec {
 	}
 }
 
-// writeRow is a raw NVRAM store, bare or followed by flush+fence (E8,
-// and the nvm suite's untraced fast path).
+// writeRow is E8's raw NVRAM store, bare or followed by flush+fence.
 func writeRow(name string, mode nvm.Mode, persist bool) Spec {
 	return Spec{
 		Name:    name,
@@ -190,17 +191,54 @@ func writeRow(name string, mode nvm.Mode, persist bool) Spec {
 	}
 }
 
+// bufferedCASRow is one of E11's memory-level rows on Buffered memory
+// with a HeapWords heap: each process CASes its own word, then flushes
+// and fences it (BufferedCASPersist), or every process CASes one shared
+// word (BufferedContendedCAS).
+func bufferedCASRow(procs int, persist bool) Spec {
+	name := "BufferedContendedCAS"
+	if persist {
+		name = "BufferedCASPersist"
+	}
+	return withOps(rawOps, Spec{
+		Name:    fmt.Sprintf("%s/procs=%d", name, procs),
+		Workers: procs,
+		Setup: func(workers, _ int) (*nvm.Memory, []func(int)) {
+			mem := nvm.New(nvm.WithMode(nvm.Buffered))
+			mem.AllocArray("heap", HeapWords, 0)
+			words := 1
+			if persist {
+				words = workers
+			}
+			addrs := mem.AllocArray("w", words, 0)
+			ops := make([]func(int), workers)
+			for w := range ops {
+				at, a := trace.Attr{P: w + 1}, addrs[w%words]
+				ops[w] = func(int) {
+					v := mem.ReadAt(a, at)
+					mem.CASAt(a, v, v+1, at)
+					if persist {
+						mem.FlushAt(a, at)
+						mem.FenceAt(at)
+					}
+				}
+			}
+			return mem, ops
+		},
+	})
+}
+
 // withOps sets a row's own op count.
 func withOps(ops int, s Spec) Spec {
 	s.Ops = ops
 	return s
 }
 
-// ExperimentsSuite returns the rows of EXPERIMENTS.md's E1–E10 tables
-// ("experiments" report), plus two trace-sink rows that price recording
-// a counter INC. Rows two tables share are measured once: E1's READ and
-// CAS are E5's non-strict side, and its INC is E2's procs=1 and E9/E10's
-// counter.
+// ExperimentsSuite returns the rows of EXPERIMENTS.md's E1–E13 tables
+// ("experiments" report), the repository's one in-memory suite. Rows
+// two tables share are measured once: E1's READ and CAS are E5's
+// non-strict side, and its INC is E2's procs=1, E9/E10's counter, E12's
+// ADR side and E13's bare row.
 //
 // The whole suite is one interleaved Group: a pass runs one round of
 // every row, so each row's floor is its best round over the whole run
@@ -210,7 +248,10 @@ func withOps(ops int, s Spec) Spec {
 // instances, and a row keeps its best repeat. Every row runs at
 // MaxProcs 1: a multi-process row time-slices one core, as processes of
 // the paper's model interleave, instead of timing however many host
-// cores happen to be free during its rounds.
+// cores happen to be free during its rounds. Each flight-recorder row
+// directly follows its bare row, so the two segments of an overhead pair
+// (OverheadPairs) run back to back in every pass, whichever direction
+// the pass takes.
 func ExperimentsSuite() []Spec {
 	// E1 and E5: registers, CAS and T&S; baseline, recoverable, strict.
 	specs := []Spec{
@@ -249,16 +290,25 @@ func ExperimentsSuite() []Spec {
 	}
 	add := func(s ...Spec) { specs = append(specs, s...) }
 
-	// E1's INC and E2's scaling, plus the trace sinks at procs=1; JSONL
-	// encoding is the cost of offline export.
+	// E1's INC and E2's scaling; at procs=1 E13's instrumentation (JSONL
+	// encoding is the cost of offline export) and, at procs 1 and 8,
+	// E12's Buffered side.
 	for _, n := range []int{1, 2, 4, 8} {
+		inc := fmt.Sprintf("Counter/Inc/recoverable/procs=%d", n)
 		add(withOps(rawOps, counterRow(fmt.Sprintf("Counter/Inc/baseline/procs=%d", n), n, false, nil)),
-			counterRow(fmt.Sprintf("Counter/Inc/recoverable/procs=%d", n), n, true, nil))
+			counterRow(inc, n, true, nil))
 		if n == 1 {
-			add(counterRow("Counter/Inc/recoverable/procs=1/trace=ring", 1, true,
-				func() proc.Config { return proc.Config{Tracer: trace.NewRing(1 << 16)} }),
-				withOps(1000, counterRow("Counter/Inc/recoverable/procs=1/trace=jsonl", 1, true,
-					func() proc.Config { return proc.Config{Tracer: trace.NewJSONL(io.Discard)} })))
+			add(counterRow(inc+"/flightrec=on", 1, true, memConfig(nvm.ADR, &flightrec.Options{})),
+				counterRow(inc+"/flightrec=deep", 1, true, memConfig(nvm.ADR, &flightrec.Options{Deep: true})),
+				counterRow(inc+"/trace=ring", 1, true,
+					func() proc.Config { return proc.Config{Tracer: trace.NewRing(1 << 16)} }),
+				withOps(1000, counterRow(inc+"/trace=jsonl", 1, true,
+					func() proc.Config { return proc.Config{Tracer: trace.NewJSONL(io.Discard)} })),
+				counterRow(inc+"/mode=Buffered", 1, true, memConfig(nvm.Buffered, nil)),
+				counterRow(inc+"/mode=Buffered/flightrec=on", 1, true, memConfig(nvm.Buffered, &flightrec.Options{})))
+		}
+		if n == 8 {
+			add(counterRow(inc+"/mode=Buffered", 8, true, memConfig(nvm.Buffered, nil)))
 		}
 	}
 	for _, n := range []int{1, 2, 4, 8} {
@@ -277,8 +327,21 @@ func ExperimentsSuite() []Spec {
 		name := "NVM/Write/mode=" + mode.String()
 		add(withOps(rawOps, writeRow(name, mode, false)), withOps(rawOps, writeRow(name+"/persist", mode, true)))
 	}
+	// E11: the memory-level primitives.
+	for _, n := range []int{1, 2, 4, 8} {
+		add(bufferedCASRow(n, true))
+	}
+	add(bufferedCASRow(1, false), bufferedCASRow(8, false), withOps(allocOps, Spec{
+		Name:    "Alloc",
+		Workers: 1,
+		Setup: func(_, _ int) (*nvm.Memory, []func(int)) {
+			mem := nvm.New()
+			return mem, []func(int){func(int) { mem.Alloc("x", 0) }}
+		},
+	}))
 
-	// E9: one op is one PUSH+POP, ENQ+DEQ or ACQ+REL.
+	// E9 and E12's stack and queue: one op is one PUSH+POP, ENQ+DEQ or
+	// ACQ+REL.
 	add(
 		withOps(rawOps, one("FAA/Add/baseline", func(sys *proc.System, c *proc.Ctx, _ int) func(int) {
 			f := baseline.NewFAA(sys, "f")
@@ -289,7 +352,9 @@ func ExperimentsSuite() []Spec {
 			return func(c *proc.Ctx) { f.Add(c, 1) }
 		}),
 		withOps(1500, stackRow("Stack/PushPop/recoverable", nil)),
+		withOps(1500, stackRow("Stack/PushPop/recoverable/mode=Buffered", memConfig(nvm.Buffered, nil))),
 		withOps(1500, queueRow("Queue/EnqDeq/recoverable", nil)),
+		withOps(1500, queueRow("Queue/EnqDeq/recoverable/mode=Buffered", memConfig(nvm.Buffered, nil))),
 		poolRow("Lock/AcqRel/recoverable", 5000, rangeOps, func(sys *proc.System) func(*proc.Ctx) {
 			l := rme.NewLock(sys, "l")
 			return func(c *proc.Ctx) { l.Acquire(c); l.Release(c) }
@@ -309,10 +374,10 @@ func ExperimentsSuite() []Spec {
 	return specs
 }
 
-// Experiment is one paper-facing table of EXPERIMENTS.md (E1–E10),
-// rendered from rows of an experiments report.
+// Experiment is one table of EXPERIMENTS.md (E1–E13), rendered from
+// rows of an experiments report.
 type Experiment struct {
-	// ID is "E1".."E10"; Title and Note are the caption.
+	// ID is "E1".."E13"; Title and Note are the caption.
 	ID, Title, Note string
 	label           string // the first column's header
 	unit            string // what one op is: "op", "update", "round", "check"
@@ -339,7 +404,7 @@ func fmtRows(labels []string, baseFmt, vFmt string) []row {
 	return rows
 }
 
-// Experiments returns the E1–E10 table layouts in order.
+// Experiments returns the E1–E13 table layouts in order.
 func Experiments() []Experiment {
 	procs := []string{"1", "2", "4", "8"}
 	incB, incR := "Counter/Inc/baseline/procs=1", "Counter/Inc/recoverable/procs=1"
@@ -395,6 +460,32 @@ func Experiments() []Experiment {
 				{"Algorithm 4 (hand-built NRL)", "", incR},
 				{"universal construction (NRL)", "", "Universal/Inc/lock-free"},
 				{"wait-free universal (NRL)", "", "Universal/Inc/wait-free"}}},
+		{"E11", fmt.Sprintf("E11: memory-level primitives (Buffered memory, %d-word heap)", HeapWords),
+			"CAS+persist: each process CASes, flushes and fences its own word; contended CAS: every process CASes one word; the processes time-slice one core",
+			"primitive", "op", "", "", []row{
+				{"CAS+persist, 1 process", "", "BufferedCASPersist/procs=1"},
+				{"CAS+persist, 2 processes", "", "BufferedCASPersist/procs=2"},
+				{"CAS+persist, 4 processes", "", "BufferedCASPersist/procs=4"},
+				{"CAS+persist, 8 processes", "", "BufferedCASPersist/procs=8"},
+				{"contended CAS, 1 process", "", "BufferedContendedCAS/procs=1"},
+				{"contended CAS, 8 processes", "", "BufferedContendedCAS/procs=8"},
+				{"Alloc", "", "Alloc"}}},
+		{"E12", "E12: persistence-mode ablation of recoverable objects (crash-free)",
+			"Buffered adds the stack's and queue's explicit flushes and fences; the counter's registers follow the paper's ADR model, so its Buffered rows price the mode alone",
+			"object/op", "op", "ADR", "Buffered", []row{
+				{"counter INC, 1 process", incR, incR + "/mode=Buffered"},
+				{"counter INC, 8 processes", "Counter/Inc/recoverable/procs=8", "Counter/Inc/recoverable/procs=8/mode=Buffered"},
+				{"counter INC, flight recorder on", incR + "/flightrec=on", incR + "/mode=Buffered/flightrec=on"},
+				{"stack PUSH+POP", "Stack/PushPop/recoverable", "Stack/PushPop/recoverable/mode=Buffered"},
+				{"queue ENQ+DEQ", "Queue/EnqDeq/recoverable", "Queue/EnqDeq/recoverable/mode=Buffered"}}},
+		{"E13", "E13: observability cost (recoverable counter INC, 1 process, ADR)",
+			fmt.Sprintf("the shallow flight recorder is the always-on default (budget %.0f%%); deep mode checkpoints every step; the trace sinks take one event per primitive", RecorderOverheadBudget*100),
+			"instrumentation", "op", "", "", []row{
+				{"none", "", incR},
+				{"flight recorder, shallow", "", incR + "/flightrec=on"},
+				{"flight recorder, deep", "", incR + "/flightrec=deep"},
+				{"trace ring", "", incR + "/trace=ring"},
+				{"trace JSONL", "", incR + "/trace=jsonl"}}},
 	}
 }
 

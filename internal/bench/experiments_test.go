@@ -9,10 +9,13 @@ import (
 )
 
 // TestExperimentsMemOpsExact pins the NVRAM primitives per op of the
-// single-process experiment rows. They are counts, not timings, so they
+// crash-free experiment rows. They are counts, not timings, so they
 // repeat exactly: the E9/E10 composition costs decompose into their
-// nested operations (INC = nested READ 1 + WRITE 4), and the universal
-// rows replay each log length 0..uniLog-1 exactly once per round.
+// nested operations (INC = nested READ 1 + WRITE 4), the universal rows
+// replay each log length 0..uniLog-1 exactly once per round, neither
+// persistence mode nor instrumentation changes an op's primitives
+// (E12, E13), and E11's rows are a READ and a CAS per op whether or not
+// the CAS wins.
 func TestExperimentsMemOpsExact(t *testing.T) {
 	want := map[string]float64{
 		"Register/Read/baseline":            1,
@@ -37,6 +40,21 @@ func TestExperimentsMemOpsExact(t *testing.T) {
 		"Lock/AcqRel/recoverable":           19,
 		"Universal/Inc/lock-free":           645.496,
 		"Universal/Inc/wait-free":           399.5,
+
+		"Counter/Inc/recoverable/procs=1/flightrec=on":               5,
+		"Counter/Inc/recoverable/procs=1/flightrec=deep":             5,
+		"Counter/Inc/recoverable/procs=1/mode=Buffered":              5,
+		"Counter/Inc/recoverable/procs=1/mode=Buffered/flightrec=on": 5,
+		"Counter/Inc/recoverable/procs=8/mode=Buffered":              5,
+		"Stack/PushPop/recoverable/mode=Buffered":                    36,
+		"Queue/EnqDeq/recoverable/mode=Buffered":                     36,
+		"BufferedCASPersist/procs=1":                                 2,
+		"BufferedCASPersist/procs=2":                                 2,
+		"BufferedCASPersist/procs=4":                                 2,
+		"BufferedCASPersist/procs=8":                                 2,
+		"BufferedContendedCAS/procs=1":                               2,
+		"BufferedContendedCAS/procs=8":                               2,
+		"Alloc":                                                      0,
 	}
 	for _, s := range ExperimentsSuite() {
 		w, ok := want[s.Name]
@@ -53,9 +71,43 @@ func TestExperimentsMemOpsExact(t *testing.T) {
 	}
 }
 
+// TestExperimentsPersistCountsExact pins the flushes, fences and
+// fence-drained words per op of the rows on Buffered memory — the
+// counts that fence folding (ROADMAP item 1) sets out to lower. A
+// PUSH+POP fences 18 times and an ENQ+DEQ 16, each fence draining one
+// word; E11's persist rows flush and fence one word per op; the counter
+// follows the paper's ADR model and issues none in either mode.
+func TestExperimentsPersistCountsExact(t *testing.T) {
+	type counts struct{ flushes, fences, words float64 }
+	want := map[string]counts{
+		"Stack/PushPop/recoverable/mode=Buffered":                    {18, 18, 18},
+		"Queue/EnqDeq/recoverable/mode=Buffered":                     {17, 16, 17},
+		"BufferedCASPersist/procs=1":                                 {1, 1, 1},
+		"BufferedCASPersist/procs=2":                                 {1, 1, 1},
+		"BufferedCASPersist/procs=4":                                 {1, 1, 1},
+		"BufferedCASPersist/procs=8":                                 {1, 1, 1},
+		"Counter/Inc/recoverable/procs=1/mode=Buffered":              {},
+		"Counter/Inc/recoverable/procs=1/mode=Buffered/flightrec=on": {},
+		"Counter/Inc/recoverable/procs=8/mode=Buffered":              {},
+	}
+	for _, s := range ExperimentsSuite() {
+		w, ok := want[s.Name]
+		if !ok {
+			continue
+		}
+		delete(want, s.Name)
+		r := Measure(s, Options{Ops: 400, Rounds: 2, Samples: -1})
+		if got := (counts{r.FlushesPerOp, r.FencesPerOp, r.FenceWordsPerOp}); got != w {
+			t.Errorf("%s: flushes/fences/fence words per op = %v, want %v", s.Name, got, w)
+		}
+	}
+	for name := range want {
+		t.Errorf("experiments suite lost row %q", name)
+	}
+}
+
 // TestExperimentTablesResolve: every table reads rows the suite
-// measures, every measured row is shown somewhere (the trace-sink rows
-// excepted: they price recording, not an E-table), and measuring one
+// measures, every measured row is shown somewhere, and measuring one
 // table's rows picks exactly those, still one interleaved group on one
 // core.
 func TestExperimentTablesResolve(t *testing.T) {
@@ -63,10 +115,7 @@ func TestExperimentTablesResolve(t *testing.T) {
 	for _, s := range ExperimentsSuite() {
 		measured[s.Name] = true
 	}
-	shown := map[string]bool{
-		"Counter/Inc/recoverable/procs=1/trace=ring":  true,
-		"Counter/Inc/recoverable/procs=1/trace=jsonl": true,
-	}
+	shown := map[string]bool{}
 	exps := Experiments()
 	for i, e := range exps {
 		if want := fmt.Sprintf("E%d", i+1); e.ID != want {

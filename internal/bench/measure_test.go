@@ -104,7 +104,7 @@ func TestRunSuiteAssemblesReport(t *testing.T) {
 			},
 		},
 	}
-	r := RunSuite("nvm", specs, Options{Ops: 100, Samples: -1})
+	r := RunSuite("test", specs, Options{Ops: 100, Samples: -1})
 	if err := r.Validate(); err != nil {
 		t.Fatalf("RunSuite report invalid: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestRunSuiteAssemblesReport(t *testing.T) {
 // on, and that every spec is well-formed.
 func TestSuitesRegistry(t *testing.T) {
 	suites := Suites()
-	if got, want := strings.Join(SuiteNames(), ","), "experiments,nvm,objects,persist"; got != want {
+	if got, want := strings.Join(SuiteNames(), ","), "experiments,persist"; got != want {
 		t.Fatalf("SuiteNames() = %s, want %s", got, want)
 	}
 	for name, specs := range suites {
@@ -142,13 +142,13 @@ func TestSuitesRegistry(t *testing.T) {
 	// the committed baseline's 8-process CAS-persist row is the one the
 	// regression gate (and EXPERIMENTS.md §9) is anchored to.
 	found := false
-	for _, s := range suites["nvm"] {
+	for _, s := range suites["experiments"] {
 		if s.Name == "BufferedCASPersist/procs=8" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("nvm suite lost BufferedCASPersist/procs=8")
+		t.Fatal("experiments suite lost BufferedCASPersist/procs=8")
 	}
 }
 

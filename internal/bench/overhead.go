@@ -35,22 +35,20 @@ type OverheadPair struct {
 	Budget float64
 }
 
-// OverheadPairs is the registry of budgeted pairs in the objects suite:
-// the shallow-mode flight-recorder rows against their bare baselines.
-// The deep-mode row is deliberately absent — checkpoint-per-step is a
-// debugging mode, priced but not budgeted.
-func OverheadPairs() []OverheadPair {
+// OverheadPairs returns the budgeted pairs registered for a suite, or
+// nil when it has none. The experiments suite budgets its shallow-mode
+// flight-recorder rows against their bare baselines, in both
+// persistence modes. The deep-mode row is deliberately absent —
+// checkpoint-per-step is a debugging mode, priced (E13) but not
+// budgeted.
+func OverheadPairs(suite string) []OverheadPair {
+	if suite != "experiments" {
+		return nil
+	}
+	inc := "Counter/Inc/recoverable/procs=1"
 	return []OverheadPair{
-		{
-			Base:   "Counter/Inc/mode=ADR/procs=1",
-			Inst:   "Counter/Inc/mode=ADR/procs=1/flightrec=on",
-			Budget: RecorderOverheadBudget,
-		},
-		{
-			Base:   "Counter/Inc/mode=Buffered/procs=1",
-			Inst:   "Counter/Inc/mode=Buffered/procs=1/flightrec=on",
-			Budget: RecorderOverheadBudget,
-		},
+		{Base: inc, Inst: inc + "/flightrec=on", Budget: RecorderOverheadBudget},
+		{Base: inc + "/mode=Buffered", Inst: inc + "/mode=Buffered/flightrec=on", Budget: RecorderOverheadBudget},
 	}
 }
 
@@ -150,21 +148,6 @@ func medianPaired(base, inst []float64) float64 {
 		return ratios[mid]
 	}
 	return (ratios[mid-1] + ratios[mid]) / 2
-}
-
-// GateOverhead returns an error when any pair breached its budget,
-// allocated beyond its baseline, or was missing from the report.
-func GateOverhead(results []OverheadResult) error {
-	var bad int
-	for _, res := range results {
-		if res.TimeBreach || res.AllocBreach || res.Missing != "" {
-			bad++
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("bench: %d overhead pair(s) breached their budget", bad)
-	}
-	return nil
 }
 
 // FprintOverhead renders the pair verdicts as an aligned table.

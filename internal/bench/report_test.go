@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite the golden report fixture")
 func goldenReport() *Report {
 	return &Report{
 		Schema: Schema,
-		Suite:  "nvm",
+		Suite:  "experiments",
 		Go:     "go1.22.0",
 		GOOS:   "linux",
 		GOARCH: "amd64",
@@ -102,7 +102,7 @@ func TestReportGoldenRequiredKeys(t *testing.T) {
 
 func TestReportRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_nvm.json")
+	path := filepath.Join(dir, "BENCH_experiments.json")
 	r := goldenReport()
 	if err := r.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
@@ -122,7 +122,7 @@ func TestReportRoundTrip(t *testing.T) {
 func TestReadFileRejectsWrongSchema(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"nrl-bench/999","suite":"nvm","results":[]}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"schema":"nrl-bench/999","suite":"experiments","results":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFile(path); err == nil {

@@ -5,12 +5,16 @@
 // going up to that point.
 //
 // The reconstruction replays the surviving records in seq order,
-// rebuilding each process's frame stack exactly the way trace.Build
-// rebuilds its profile stacks — begin pushes, end/recover-exit pops —
-// with two forgiving twists a black box needs: a pop with an empty
-// stack is attributed to a begin that the ring wrap overwrote (counted,
-// not fatal), and the whole report carries the valid/torn slot counts so
-// a consumer can tell a complete story from a partial one.
+// rebuilding each process's frame stack by nesting depth — begin
+// pushes, end/recover-exit pops — with the forgiving twists a black box
+// needs. Shallow mode, the recorder's default, drops nested begins and
+// ends but keeps crash and recovery records at their own depth, so a
+// deeper crash or recover-enter stands for a frame of its own and an
+// end or recover-exit never closes a shallower frame. A pop that finds
+// no frame at its depth is attributed to a begin the ring wrap
+// overwrote (counted, not fatal), and the report carries the valid/torn
+// slot counts so a consumer can tell a complete story from a partial
+// one.
 package forensics
 
 import (
@@ -34,8 +38,9 @@ type OpNode struct {
 	// Attempt is the last observed recovery attempt count.
 	Attempt int
 	// BeginSeq is the seq of the begin record that opened the frame
-	// (0 when the begin was lost to a ring wrap and the frame is implied
-	// by a crash/recovery record).
+	// (0 when the frame is implied by a crash/recovery record: its begin
+	// was lost to a ring wrap, or is a nested begin shallow mode never
+	// records).
 	BeginSeq uint32
 	// Arg is the first argument recorded at begin.
 	Arg uint64
@@ -69,8 +74,8 @@ type ProcReport struct {
 	// acknowledged).
 	MaxBegunVal uint64
 	MaxEndedVal uint64
-	// OrphanEnds counts end/recover-exit records whose begin the ring
-	// wrap overwrote.
+	// OrphanEnds counts end/recover-exit records that found no frame at
+	// their depth: their begin was overwritten by the ring wrap.
 	OrphanEnds uint64
 	// LastSeq is the newest record seq attributed to this process;
 	// LastFenceSeq the newest fence marker's seq.
@@ -163,11 +168,7 @@ func Reconstruct(recs []flightrec.Record, torn int) *Report {
 			} else {
 				pr.RecoverExits++
 			}
-			if n := len(pr.InFlight); n > 0 {
-				pr.InFlight = pr.InFlight[:n-1]
-			} else {
-				pr.OrphanEnds++
-			}
+			pr.pop(rec.Depth)
 		case flightrec.KindCrash:
 			pr.Crashes++
 			fr := pr.frame(rec)
@@ -205,20 +206,35 @@ func Reconstruct(recs []flightrec.Record, torn int) *Report {
 	return rep
 }
 
-// frame returns the in-flight frame a crash/recovery record belongs to,
-// synthesizing one (BeginSeq 0) when the begin record did not survive.
-// A crash is attributed to the inner-most frame; when the record's
-// depth says the stack is deeper than what survived, missing outer
-// frames are represented by the synthesized node alone.
+// frame returns the in-flight frame a crash/recovery record belongs to:
+// the inner-most frame, unless the record is deeper than that frame (or
+// the stack is empty), in which case the record's own op is pushed as a
+// synthesized frame (BeginSeq 0) at the record's depth. Missing frames
+// between the two are represented by the synthesized node alone.
 func (pr *ProcReport) frame(rec flightrec.Record) *OpNode {
-	if n := len(pr.InFlight); n > 0 {
-		return &pr.InFlight[n-1]
+	if n := len(pr.InFlight); n == 0 || rec.Depth > pr.InFlight[n-1].Depth {
+		pr.InFlight = append(pr.InFlight, OpNode{
+			Obj: rec.Obj, Op: rec.Op, Depth: rec.Depth,
+			LI: rec.LI, Attempt: rec.Attempt,
+		})
 	}
-	pr.InFlight = append(pr.InFlight, OpNode{
-		Obj: rec.Obj, Op: rec.Op, Depth: rec.Depth,
-		LI: rec.LI, Attempt: rec.Attempt,
-	})
-	return &pr.InFlight[0]
+	return &pr.InFlight[len(pr.InFlight)-1]
+}
+
+// pop closes the frame an end or recover-exit at depth completes,
+// together with any deeper frames left open above it. Shallower frames
+// stay: a nested op's completion never closes its parent. A pop that
+// finds no frame at depth is an orphan.
+func (pr *ProcReport) pop(depth int) {
+	i, matched := len(pr.InFlight), false
+	for i > 0 && pr.InFlight[i-1].Depth >= depth {
+		i--
+		matched = matched || pr.InFlight[i].Depth == depth
+	}
+	pr.InFlight = pr.InFlight[:i]
+	if !matched {
+		pr.OrphanEnds++
+	}
 }
 
 // ProcIDs returns the process ids present, sorted.
@@ -257,6 +273,7 @@ func (r *Report) Format(w io.Writer) {
 			fmt.Fprintf(w, " orphan-ends=%d", pr.OrphanEnds)
 		}
 		fmt.Fprintln(w)
+		outerBegun := false
 		for _, fr := range pr.InFlight {
 			status := "in flight"
 			switch {
@@ -271,7 +288,15 @@ func (r *Report) Format(w io.Writer) {
 			}
 			fmt.Fprintf(w, "  depth %d: %s %s (LI=%d attempt=%d arg=%d",
 				fr.Depth, name, status, fr.LI, fr.Attempt, fr.Arg)
-			if fr.BeginSeq == 0 {
+			// The ring loses only its oldest records, so a synthesized
+			// frame nested inside a frame whose begin survived lost
+			// nothing: its begin is one shallow mode never records.
+			switch {
+			case fr.BeginSeq != 0:
+				outerBegun = true
+			case outerBegun:
+				fmt.Fprintf(w, ", nested begin not recorded")
+			default:
 				fmt.Fprintf(w, ", begin lost to wrap")
 			}
 			fmt.Fprintf(w, ")\n")

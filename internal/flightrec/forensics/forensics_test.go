@@ -70,6 +70,50 @@ func TestReconstructCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestReconstructShallowNestedCrash: a shallow ring, the recorder's
+// default, records a nested op's crash and recovery at depth 2 but not
+// its begin or end. The nested recover-exit closes only the nested
+// frame; the top-level op stays in flight, a complete report, until
+// its own recovery exits. A ring cut between the two (a kill in the
+// recovery cascade) must still show it.
+func TestReconstructShallowNestedCrash(t *testing.T) {
+	r := flightrec.NewRecorder(flightrec.Options{Slots: 64})
+	r.Record(flightrec.Rec{Kind: flightrec.KindBegin, P: 1, Depth: 1, Obj: "ctr", Op: "Inc", Val: 7})
+	r.Record(flightrec.Rec{Kind: flightrec.KindBegin, P: 1, Depth: 2, Obj: "ctr.R", Op: "Write"}) // dropped
+	r.Record(flightrec.Rec{Kind: flightrec.KindCrash, P: 1, Depth: 2, Obj: "ctr.R", Op: "Write", LI: 1})
+
+	rep := Reconstruct(r.Snapshot(), 0)
+	fl := rep.Procs[1].InFlight
+	if len(fl) != 2 || fl[0].Depth != 1 || fl[0].BeginSeq == 0 || fl[0].Crashed ||
+		fl[1].Obj != "ctr.R" || fl[1].Depth != 2 || fl[1].BeginSeq != 0 || !fl[1].Crashed || fl[1].LI != 1 {
+		t.Fatalf("after the nested crash, in flight = %+v", fl)
+	}
+	var sb strings.Builder
+	rep.Format(&sb)
+	if out := sb.String(); !strings.Contains(out, "depth 2: ctr.R/Write crashed (LI=1 attempt=0 arg=0, nested begin not recorded)") ||
+		strings.Contains(out, "lost to wrap") {
+		t.Errorf("nested frame mislabelled:\n%s", out)
+	}
+
+	r.Record(flightrec.Rec{Kind: flightrec.KindRecoverEnter, P: 1, Depth: 2, Obj: "ctr.R", Op: "Write", LI: 1, Attempt: 1})
+	r.Record(flightrec.Rec{Kind: flightrec.KindRecoverExit, P: 1, Depth: 2, Obj: "ctr.R", Op: "Write", Val: 3})
+	rep = Reconstruct(r.Snapshot(), 0)
+	pr := rep.Procs[1]
+	if len(pr.InFlight) != 1 || pr.InFlight[0].Obj != "ctr" || pr.InFlight[0].Depth != 1 || pr.InFlight[0].Arg != 7 {
+		t.Fatalf("after the nested recover-exit, in flight = %+v, want the top-level ctr/Inc", pr.InFlight)
+	}
+	if rep.Partial || pr.OrphanEnds != 0 {
+		t.Errorf("partial = %v, orphan ends = %d, want a complete report", rep.Partial, pr.OrphanEnds)
+	}
+
+	r.Record(flightrec.Rec{Kind: flightrec.KindRecoverEnter, P: 1, Depth: 1, Obj: "ctr", Op: "Inc", Attempt: 1})
+	r.Record(flightrec.Rec{Kind: flightrec.KindRecoverExit, P: 1, Depth: 1, Obj: "ctr", Op: "Inc", Val: 1})
+	rep = Reconstruct(r.Snapshot(), 0)
+	if pr := rep.Procs[1]; len(pr.InFlight) != 0 || pr.OrphanEnds != 0 || rep.Partial {
+		t.Fatalf("after the cascade, in flight = %+v, orphan ends = %d, partial = %v", pr.InFlight, pr.OrphanEnds, rep.Partial)
+	}
+}
+
 func TestReconstructWrapAndOrphans(t *testing.T) {
 	r := flightrec.NewRecorder(flightrec.Options{Slots: 8})
 	r.Record(flightrec.Rec{Kind: flightrec.KindBegin, P: 1, Depth: 1, Obj: "ctr", Op: "Inc"})

@@ -97,3 +97,46 @@ func TestFlightRecShallowDefault(t *testing.T) {
 		t.Fatalf("shallow counters = %+v", pr)
 	}
 }
+
+// TestFlightRecShallowKillInCascade: the lifecycle run above on the
+// default shallow recorder, whose ring holds the nested child's crash
+// and recovery but not its begin. Cut at the child's recover-exit — a
+// kill between the child's recovery and its parent's — the parent must
+// still show in flight, in a complete report.
+func TestFlightRecShallowKillInCascade(t *testing.T) {
+	rec := flightrec.NewRecorder(flightrec.Options{Slots: 256})
+	crashed := false
+	sys := NewSystem(Config{
+		Procs:     1,
+		FlightRec: rec,
+		Injector: Func(func(pt CrashPoint) bool {
+			if !crashed && pt.Depth == 2 && pt.Line == 2 && !pt.Recovery {
+				crashed = true
+				return true
+			}
+			return false
+		}),
+	})
+	child := &childOp{a: sys.Mem().Alloc("A", 0)}
+	parent := &parentOp{child: child, r: sys.Mem().Alloc("R", 0)}
+	sys.Proc(1).Ctx().Invoke(parent, 7)
+
+	var cut []flightrec.Record
+	for _, r := range rec.Snapshot() {
+		cut = append(cut, r)
+		if r.Kind == flightrec.KindRecoverExit {
+			break
+		}
+	}
+	rep := forensics.Reconstruct(cut, 0)
+	fl := rep.Procs[1].InFlight
+	if len(fl) != 1 || fl[0].Obj != "parent" || fl[0].Depth != 1 || fl[0].BeginSeq == 0 {
+		t.Fatalf("killed in the cascade: in flight = %+v, want the parent", fl)
+	}
+	if rep.Partial {
+		t.Errorf("complete ring reported partial: %+v", rep.Procs[1])
+	}
+	if full := forensics.Reconstruct(rec.Snapshot(), 0); full.InFlightTotal() != 0 || full.Partial {
+		t.Errorf("completed run: %d in flight, partial %v", full.InFlightTotal(), full.Partial)
+	}
+}
