@@ -28,14 +28,15 @@ import (
 // (10–100 ns) rawOps, and rows whose op is costlier, builds a fresh
 // object or checks a whole history carry their own count. Memory bounds
 // the test-and-set pools and the Alloc row instead: a pool holds a fresh
-// object, and Alloc adds a word, for every op of every pass.
+// object for every op of every pass, and Alloc adds a word per op to a
+// memory it renews every allocOps words.
 const (
 	experimentsDefaultOps = 10_000
 	experimentsRounds     = 4 // a repeat runs at most 24 passes (see MeasureGroup)
 	experimentsRepeats    = 3
 	rawOps                = 150_000
 	tasOps                = 10_000  // baseline T&S: a fresh object per op
-	allocOps              = 20_000  // E11's Alloc: a fresh 80-byte word per op
+	allocOps              = 24_576  // E11's Alloc: a fresh 80-byte word per op; see the row
 	recTASOps             = 2000    // recoverable T&S: a fresh object per op
 	tasRoundOps           = 200     // E6: a fresh object and N processes per op
 	uniLog                = 250     // E10: INCs per universal object (see poolRow)
@@ -334,9 +335,19 @@ func ExperimentsSuite() []Spec {
 	add(bufferedCASRow(1, false), bufferedCASRow(8, false), withOps(allocOps, Spec{
 		Name:    "Alloc",
 		Workers: 1,
+		// A fresh memory every allocOps words bounds the row's live heap
+		// to one round's words, however many rounds or b.N ops run.
+		// allocOps fills three 256-word slabs in each of the 32 banks, so
+		// no renewed memory leaves a slab it paid to zero part-used.
 		Setup: func(_, _ int) (*nvm.Memory, []func(int)) {
-			mem := nvm.New()
-			return mem, []func(int){func(int) { mem.Alloc("x", 0) }}
+			mem, words := nvm.New(), 0
+			return mem, []func(int){func(int) {
+				if words == allocOps {
+					mem, words = nvm.New(), 0
+				}
+				mem.Alloc("x", 0)
+				words++
+			}}
 		},
 	}))
 

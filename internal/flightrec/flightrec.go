@@ -189,7 +189,11 @@ type Rec struct {
 	// Val is the kind-specific payload value: argument, response, or
 	// words drained/committed.
 	Val uint64
-	// GStep is the system-wide step counter at emission, when available.
+	// GStep is the record's step stamp: for lifecycle records, the
+	// issuing process's own step count at emission (proc stamps it so
+	// that recording reads no other process's counter; it lines up with
+	// the p@N crash sites chaos prints); for commit markers, the commit
+	// sequence. Zero when unavailable.
 	GStep uint64
 }
 
@@ -686,7 +690,9 @@ type Record struct {
 	// Val is the kind-specific payload value. For name records it is the
 	// recorded id.
 	Val uint64
-	// GStep is the (truncated) system step counter at emission.
+	// GStep is Rec.GStep truncated to 32 bits: the issuing process's
+	// own step count for lifecycle records, the commit sequence for
+	// commit markers.
 	GStep uint32
 }
 

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -52,7 +53,9 @@ const InvalidAddr Addr = -1
 // drains exactly that set — no global scan, no cross-process
 // interference, mirroring how SFENCE orders only the issuing CPU's
 // cache-line write-backs. Raw accesses without attribution share flush
-// set 0.
+// set 0. The operation counters follow the same rule: each primitive
+// counts into the issuing process's stripe (see stats.go), so the hot
+// path writes no cache line another process writes.
 type Memory struct {
 	mode Mode
 
@@ -88,7 +91,8 @@ type Memory struct {
 	degMu    sync.Mutex
 	degErr   error
 
-	stats Stats
+	// stripes are the per-process operation counters (see stats.go).
+	stripes [statStripes]statStripe
 
 	// trc, when non-nil, receives one trace event per primitive. It is
 	// set once, before the memory is shared (see SetTracer), so the
@@ -194,17 +198,33 @@ func (m *Memory) Alloc(name string, init uint64) Addr {
 // "name[0]".."name[n-1]", and returns their addresses in order. The
 // addresses form one contiguous bank reservation — a single atomic
 // reservation of n consecutive addresses, striped round-robin across
-// the shards — rather than n independent allocations.
+// the shards — rather than n independent allocations. The n names are
+// formatted into one buffer, and each word's name is a substring of
+// it, so naming the array costs one string rather than one per word.
 func (m *Memory) AllocArray(name string, n int, init uint64) []Addr {
 	if n <= 0 {
 		return nil
 	}
+	buf := make([]byte, 0, n*(len(name)+2+len(strconv.Itoa(n))))
+	for i := 0; i < n; i++ {
+		buf = append(buf, name...)
+		buf = append(buf, '[')
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(buf, ']')
+	}
+	names := string(buf)
 	base := Addr(m.next.Add(int64(n)) - int64(n))
 	addrs := make([]Addr, n)
+	off, digits, next := 0, 1, 10
 	for i := range addrs {
+		if i == next {
+			digits, next = digits+1, next*10
+		}
+		end := off + len(name) + digits + 2
 		a := base + Addr(i)
-		m.place(a, fmt.Sprintf("%s[%d]", name, i), init)
+		m.place(a, names[off:end], init)
 		addrs[i] = a
+		off = end
 	}
 	return addrs
 }
@@ -262,8 +282,8 @@ func (m *Memory) Read(a Addr) uint64 { return m.ReadAt(a, trace.Attr{}) } //nrl:
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
 func (m *Memory) ReadAt(a Addr, at trace.Attr) uint64 {
-	m.stats.reads.Add(1)
 	v := m.wordAt(a).val.Load()
+	m.statsFor(at.P).reads.Add(1)
 	if m.trc != nil {
 		m.emit(trace.MemRead, a, v, at)
 	}
@@ -281,9 +301,9 @@ func (m *Memory) WriteAt(a Addr, v uint64, at trace.Attr) {
 	if m.degraded.Load() {
 		return
 	}
-	m.stats.writes.Add(1)
 	w := m.wordAt(a)
 	w.val.Store(v)
+	m.statsFor(at.P).writes.Add(1)
 	if m.mode == Buffered {
 		m.dirtied(w)
 	} else if m.backend != nil {
@@ -309,9 +329,9 @@ func (m *Memory) CASAt(a Addr, old, new uint64, at trace.Attr) bool {
 	if m.degraded.Load() {
 		return false
 	}
-	m.stats.cases.Add(1)
 	w := m.wordAt(a)
 	ok := w.val.CompareAndSwap(old, new)
+	m.statsFor(at.P).cases.Add(1)
 	if ok {
 		if m.mode == Buffered {
 			m.dirtied(w)
@@ -342,9 +362,9 @@ func (m *Memory) TASAt(a Addr, at trace.Attr) uint64 {
 	if m.degraded.Load() {
 		return m.wordAt(a).val.Load()
 	}
-	m.stats.tases.Add(1)
 	w := m.wordAt(a)
 	prev := w.val.Swap(1)
+	m.statsFor(at.P).tases.Add(1)
 	if m.mode == Buffered {
 		m.dirtied(w)
 	} else if m.backend != nil {
@@ -369,9 +389,9 @@ func (m *Memory) FAAAt(a Addr, delta uint64, at trace.Attr) uint64 {
 	if m.degraded.Load() {
 		return m.wordAt(a).val.Load()
 	}
-	m.stats.faas.Add(1)
 	w := m.wordAt(a)
 	prev := w.val.Add(delta) - delta
+	m.statsFor(at.P).faas.Add(1)
 	if m.mode == Buffered {
 		m.dirtied(w)
 	} else if m.backend != nil {
@@ -399,7 +419,7 @@ func (m *Memory) FlushAt(a Addr, at trace.Attr) {
 	if m.degraded.Load() {
 		return
 	}
-	m.stats.flushes.Add(1)
+	m.statsFor(at.P).flushes.Add(1)
 	if m.mode == Buffered {
 		w := m.wordAt(a)
 		v := w.val.Load()
@@ -452,7 +472,7 @@ func (m *Memory) FenceAt(at trace.Attr) {
 	if m.degraded.Load() {
 		return
 	}
-	m.stats.fences.Add(1)
+	m.statsFor(at.P).fences.Add(1)
 	if m.mode == Buffered {
 		if err := m.drainFlushes(at.P); err != nil {
 			m.degrade(err)
@@ -478,9 +498,11 @@ func (m *Memory) FenceAt(at trace.Attr) {
 // drained. A single capture without a backend is one atomic persisted
 // store; every other shape locks the banks involved in ascending order
 // (the global lock order shared with CrashAll), so a multi-word fence
-// advances its words atomically with respect to a concurrent crash.
+// advances its words atomically with respect to a concurrent crash. The
+// fence words and any bank contention count into p's stripe.
 func (m *Memory) drainFlushes(p int) error {
 	fs := m.flushSetFor(p)
+	st := m.statsFor(p)
 	if p <= 0 {
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
@@ -501,7 +523,7 @@ func (m *Memory) drainFlushes(p int) error {
 		// fence, and advancing one word's durable value is a single
 		// atomic store — no bank lock, no dedup, no bank-set bookkeeping.
 		m.applyPersist(entries[0])
-		m.stats.fenceWords.Add(1)
+		st.fenceWords.Add(1)
 		fs.entries = entries[:0]
 		if m.frec != nil {
 			m.frec.RecordFence(p, 1)
@@ -528,7 +550,7 @@ func (m *Memory) drainFlushes(p int) error {
 		si, _ := slotOf(e.Addr)
 		banks.add(si)
 	}
-	banks.lockAll(&m.shards, &m.stats)
+	banks.lockAll(&m.shards, st)
 	if m.backend != nil {
 		if err := m.backend.Commit(batch); err != nil {
 			banks.unlockAll(&m.shards)
@@ -539,7 +561,7 @@ func (m *Memory) drainFlushes(p int) error {
 		m.applyPersist(e)
 	}
 	banks.unlockAll(&m.shards)
-	m.stats.fenceWords.Add(uint64(len(batch)))
+	st.fenceWords.Add(uint64(len(batch)))
 	fs.entries = fs.entries[:0]
 	if m.frec != nil {
 		m.frec.RecordFence(p, uint64(len(batch)))
@@ -593,15 +615,17 @@ func (m *Memory) PersistAt(a Addr, at trace.Attr) {
 // concurrent sampler never observes a SystemCrashes count ahead of the
 // crash's effects, and a crash never inflates the Writes counter. Both
 // properties keep Stats/DrainStats snapshots taken across a crash
-// monotonic per counter (see TestCrashAllStatsAccounting).
+// monotonic per counter (see TestCrashAllStatsAccounting). A crash has
+// no issuing process, so it counts into stripe 0.
 func (m *Memory) CrashAll() {
+	st := m.statsFor(0)
 	if m.mode != Buffered {
-		m.stats.systemCrashes.Add(1)
+		st.systemCrashes.Add(1)
 		return
 	}
 	m.crashEpoch.Add(1)
 	for si := range m.shards {
-		m.shards[si].lock(&m.stats)
+		m.shards[si].lock(st)
 	}
 	n := int(m.next.Load())
 	for si := range m.shards {
@@ -624,7 +648,7 @@ func (m *Memory) CrashAll() {
 	for si := range m.shards {
 		m.shards[si].mu.Unlock()
 	}
-	m.stats.systemCrashes.Add(1)
+	st.systemCrashes.Add(1)
 }
 
 // Durable reports the durable (persisted) value of the word at a. In ADR

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"nrl/internal/trace"
 )
 
 func TestAllocAndName(t *testing.T) {
@@ -29,25 +32,70 @@ func TestAllocAndName(t *testing.T) {
 	}
 }
 
+// TestAllocArray checks addresses, initial values and names. The large
+// case spans one- to four-digit indices, several chunks of every shard
+// and a second array behind a first, so each word's name must be the
+// right slice of the array's one name buffer.
 func TestAllocArray(t *testing.T) {
-	m := New()
-	addrs := m.AllocArray("r", 4, 9)
-	if len(addrs) != 4 {
-		t.Fatalf("AllocArray returned %d addrs, want 4", len(addrs))
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"r", 4}, {"q.R", 1000}, {"big", 2*ShardCount*chunkWords + 37}} {
+		m := New()
+		m.Alloc("head", 0)
+		addrs := m.AllocArray(tc.name, tc.n, 9)
+		if len(addrs) != tc.n {
+			t.Fatalf("AllocArray returned %d addrs, want %d", len(addrs), tc.n)
+		}
+		seen := make(map[Addr]bool)
+		for i, a := range addrs {
+			if seen[a] {
+				t.Fatalf("duplicate address %v", a)
+			}
+			seen[a] = true
+			if got := m.Read(a); got != 9 {
+				t.Errorf("Read(%s addrs[%d]) = %d, want 9", tc.name, i, got)
+			}
+			want := fmt.Sprintf("%s[%d]", tc.name, i)
+			if got := m.Name(a); got != want {
+				t.Fatalf("Name(addrs[%d]) = %q, want %q", i, got, want)
+			}
+		}
+		if got := m.Size(); got != tc.n+1 {
+			t.Errorf("Size() = %d, want %d", got, tc.n+1)
+		}
 	}
-	seen := make(map[Addr]bool)
-	for i, a := range addrs {
-		if seen[a] {
-			t.Fatalf("duplicate address %v", a)
+}
+
+// TestStatStripeLayout pins the counter stripes to whole 128-byte
+// blocks, so a field added to Stats can never put two processes'
+// counters on one cache line, checks that no two stripes' counters
+// share a line in an allocated memory, and pins which stripe a pid
+// counts into.
+func TestStatStripeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(statStripe{}); size%128 != 0 {
+		t.Errorf("statStripe is %d bytes, want a multiple of 128", size)
+	}
+	m := New()
+	for i := 1; i < statStripes; i++ {
+		prevEnd := uintptr(unsafe.Pointer(&m.stripes[i-1].Stats)) + unsafe.Sizeof(Stats{}) - 1
+		start := uintptr(unsafe.Pointer(&m.stripes[i].Stats))
+		if prevEnd/64 >= start/64 {
+			t.Errorf("stripes %d and %d share cache line %#x", i-1, i, start/64*64)
 		}
-		seen[a] = true
-		if got := m.Read(a); got != 9 {
-			t.Errorf("Read(addrs[%d]) = %d, want 9", i, got)
+	}
+	a := m.Alloc("a", 0)
+	m.Write(a, 1)
+	for _, p := range []int{1, 2, 17} {
+		m.WriteAt(a, 1, trace.Attr{P: p})
+	}
+	for i, want := range map[int]uint64{0: 1, 1: 2, 2: 1} {
+		if got := m.stripes[i].writes.Load(); got != want {
+			t.Errorf("stripe %d counted %d writes, want %d", i, got, want)
 		}
-		want := fmt.Sprintf("r[%d]", i)
-		if got := m.Name(a); got != want {
-			t.Errorf("Name(addrs[%d]) = %q, want %q", i, got, want)
-		}
+	}
+	if got := m.Stats().Writes; got != 4 {
+		t.Errorf("Stats().Writes = %d, want 4", got)
 	}
 }
 

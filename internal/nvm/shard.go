@@ -117,7 +117,7 @@ func (m *Memory) chunkFor(si, slot int) *wordChunk {
 	if cs := s.chunks.Load(); cs != nil && ci < len(*cs) {
 		return (*cs)[ci]
 	}
-	s.lock(&m.stats)
+	s.lock(m.statsFor(0))
 	defer s.mu.Unlock()
 	var cur []*wordChunk
 	if cs := s.chunks.Load(); cs != nil {

@@ -1,28 +1,40 @@
 package nvm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Stats counts the operations applied to a Memory since creation (or since
 // the last ResetStats). Counters are updated atomically and may be sampled
 // concurrently with memory operations.
 //
+// A Memory keeps one Stats per process stripe rather than one in total:
+// a primitive issued by process p counts into stripe p&(statStripes-1)
+// (raw, unattributed accesses into stripe 0), so a process's steps never
+// write a cache line another process writes. Stats, ResetStats and
+// DrainStats read, clear or steal every stripe.
+//
 // # Snapshot consistency contract
 //
 // Each counter is individually atomic, but a StatsSnapshot is NOT a
-// cross-counter atomic picture: Stats loads the eight counters one after
-// another, so a snapshot taken while memory operations are in flight may
-// pair a read count from before a concurrent operation with a write count
-// from after it. Likewise ResetStats zeroes the counters one at a time; a
-// concurrent sampler can observe some counters already reset and others
-// not, and an increment racing a reset lands on whichever side of the
-// zeroing its Add happens to fall — it is never lost and never double
-// counted, but which interval it is attributed to is unspecified.
+// cross-counter atomic picture: Stats loads the counters one stripe and
+// one counter after another, so a snapshot taken while memory operations
+// are in flight may pair a read count from before a concurrent operation
+// with a write count from after it, and a total summed over the stripes
+// is a moment's reading of a moving sum. Likewise ResetStats zeroes the
+// counters one at a time; a concurrent sampler can observe some counters
+// already reset and others not, and an increment racing a reset lands on
+// whichever side of the zeroing its Add happens to fall — it is never
+// lost and never double counted, but which interval it is attributed to
+// is unspecified.
 //
 // Callers that need exact per-interval deltas must either quiesce the
 // memory around the sample (what the harness does: it samples between
-// System.Wait and the next workload) or use DrainStats, which atomically
-// steals each counter's value so that every increment is attributed to
-// exactly one interval even under concurrency.
+// System.Wait and the next workload) or use DrainStats. Each increment
+// lands in exactly one stripe's counter, and DrainStats atomically steals
+// every stripe's value, so every increment is attributed to exactly one
+// interval even under concurrency.
 type Stats struct {
 	reads         atomic.Uint64
 	writes        atomic.Uint64
@@ -44,6 +56,27 @@ type Stats struct {
 	// well-striped workload; growth signals fences or crashes fighting
 	// over the same bank.
 	shardContention atomic.Uint64
+}
+
+// statStripes is the number of counter stripes a Memory keeps, a power
+// of two. Processes 1..statStripes-1 each own a stripe; pid 0 (raw
+// accesses, crashes, slab growth) counts into stripe 0, and larger pids
+// wrap.
+const statStripes = 16
+
+// statStripe is one stripe's Stats padded to a multiple of 128 bytes
+// (two cache lines, the unit the adjacent-line prefetcher moves), so no
+// two stripes' counters share a line (TestStatStripeLayout pins both).
+type statStripe struct {
+	Stats
+	_ [(128 - unsafe.Sizeof(Stats{})%128) % 128]byte
+}
+
+// statsFor returns the counter stripe of process p. The primitives
+// count after their word access, so the access never waits behind the
+// locked add.
+func (m *Memory) statsFor(p int) *Stats {
+	return &m.stripes[p&(statStripes-1)].Stats
 }
 
 // StatsSnapshot is a point-in-time copy of a Memory's counters.
@@ -72,37 +105,17 @@ func (s StatsSnapshot) Total() uint64 {
 	return s.Reads + s.Writes + s.CASes + s.TASes + s.FAAs
 }
 
-// Stats returns a snapshot of the memory's counters.
+// Stats returns a snapshot of the memory's counters, summed over the
+// stripes.
 func (m *Memory) Stats() StatsSnapshot {
-	return StatsSnapshot{
-		Reads:         m.stats.reads.Load(),
-		Writes:        m.stats.writes.Load(),
-		CASes:         m.stats.cases.Load(),
-		TASes:         m.stats.tases.Load(),
-		FAAs:          m.stats.faas.Load(),
-		Flushes:       m.stats.flushes.Load(),
-		Fences:        m.stats.fences.Load(),
-		SystemCrashes: m.stats.systemCrashes.Load(),
-
-		FenceWords:      m.stats.fenceWords.Load(),
-		ShardContention: m.stats.shardContention.Load(),
-	}
+	return m.sumStripes((*atomic.Uint64).Load)
 }
 
 // ResetStats zeroes all counters. See the Stats type documentation for
 // the consistency contract with concurrent samplers: the reset is atomic
 // per counter, not across counters.
 func (m *Memory) ResetStats() {
-	m.stats.reads.Store(0)
-	m.stats.writes.Store(0)
-	m.stats.cases.Store(0)
-	m.stats.tases.Store(0)
-	m.stats.faas.Store(0)
-	m.stats.flushes.Store(0)
-	m.stats.fences.Store(0)
-	m.stats.systemCrashes.Store(0)
-	m.stats.fenceWords.Store(0)
-	m.stats.shardContention.Store(0)
+	m.sumStripes(func(c *atomic.Uint64) uint64 { c.Store(0); return 0 })
 }
 
 // DrainStats atomically swaps every counter to zero and returns the
@@ -112,17 +125,25 @@ func (m *Memory) ResetStats() {
 // (The snapshot is still assembled counter by counter; only per-counter
 // exactness is guaranteed, per the Stats contract.)
 func (m *Memory) DrainStats() StatsSnapshot {
-	return StatsSnapshot{
-		Reads:         m.stats.reads.Swap(0),
-		Writes:        m.stats.writes.Swap(0),
-		CASes:         m.stats.cases.Swap(0),
-		TASes:         m.stats.tases.Swap(0),
-		FAAs:          m.stats.faas.Swap(0),
-		Flushes:       m.stats.flushes.Swap(0),
-		Fences:        m.stats.fences.Swap(0),
-		SystemCrashes: m.stats.systemCrashes.Swap(0),
+	return m.sumStripes(func(c *atomic.Uint64) uint64 { return c.Swap(0) })
+}
 
-		FenceWords:      m.stats.fenceWords.Swap(0),
-		ShardContention: m.stats.shardContention.Swap(0),
+// sumStripes applies take to every counter of every stripe and returns
+// the per-counter sums of what it returned.
+func (m *Memory) sumStripes(take func(*atomic.Uint64) uint64) StatsSnapshot {
+	var s StatsSnapshot
+	for i := range m.stripes {
+		st := &m.stripes[i].Stats
+		s.Reads += take(&st.reads)
+		s.Writes += take(&st.writes)
+		s.CASes += take(&st.cases)
+		s.TASes += take(&st.tases)
+		s.FAAs += take(&st.faas)
+		s.Flushes += take(&st.flushes)
+		s.Fences += take(&st.fences)
+		s.SystemCrashes += take(&st.systemCrashes)
+		s.FenceWords += take(&st.fenceWords)
+		s.ShardContention += take(&st.shardContention)
 	}
+	return s
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"nrl/internal/trace"
 )
 
 // TestStatsConcurrentSampling hammers Stats and ResetStats while memory
@@ -60,22 +62,35 @@ func TestStatsConcurrentSampling(t *testing.T) {
 
 // TestDrainStatsExactness: every increment must be attributed to exactly
 // one drained interval, even with drains racing the operations. This is
-// the property DrainStats adds over a Stats+ResetStats pair.
+// the property DrainStats adds over a Stats+ResetStats pair. Raw writers
+// count into stripe 0 and attributed ones into their own process's
+// stripe (pid 17 wraps onto pid 1's), and the attributed writers flush
+// and fence too, so the fence-word counter is covered as well.
 func TestDrainStatsExactness(t *testing.T) {
-	mem := New()
+	mem := New(WithMode(Buffered))
 	addrs := mem.AllocArray("x", 4, 0)
+	pids := []int{0, 1, 2, 17}
+	own := mem.AllocArray("p", len(pids), 0)
 	const (
 		writers         = 4
 		writesPerWriter = 5000
+		attributedIters = 2000
 	)
 	var writersDone atomic.Bool
-	var drained atomic.Uint64
+	var total StatsSnapshot
+	add := func(s StatsSnapshot) {
+		total.Writes += s.Writes
+		total.CASes += s.CASes
+		total.Flushes += s.Flushes
+		total.Fences += s.Fences
+		total.FenceWords += s.FenceWords
+	}
 	var drainer sync.WaitGroup
 	drainer.Add(1)
 	go func() {
 		defer drainer.Done()
 		for !writersDone.Load() {
-			drained.Add(mem.DrainStats().Writes)
+			add(mem.DrainStats())
 		}
 	}()
 	var ww sync.WaitGroup
@@ -89,11 +104,34 @@ func TestDrainStatsExactness(t *testing.T) {
 			}
 		}(g)
 	}
+	for k, p := range pids {
+		ww.Add(1)
+		go func(a Addr, at trace.Attr) {
+			defer ww.Done()
+			for i := 0; i < attributedIters; i++ {
+				mem.WriteAt(a, uint64(i), at)
+				if !mem.CASAt(a, uint64(i), uint64(i)+1, at) {
+					t.Errorf("p%d: CAS on its own word failed", at.P)
+					return
+				}
+				mem.FlushAt(a, at)
+				mem.FenceAt(at)
+			}
+		}(own[k], trace.Attr{P: p})
+	}
 	ww.Wait()
 	writersDone.Store(true)
 	drainer.Wait()
-	drained.Add(mem.DrainStats().Writes) // whatever the racing drains left behind
-	if got, want := drained.Load(), uint64(writers*writesPerWriter); got != want {
-		t.Errorf("drained %d writes in total, want %d (lost or double-counted increments)", got, want)
+	add(mem.DrainStats()) // whatever the racing drains left behind
+	attributed := uint64(len(pids) * attributedIters)
+	want := StatsSnapshot{
+		Writes:     uint64(writers*writesPerWriter) + attributed,
+		CASes:      attributed,
+		Flushes:    attributed,
+		Fences:     attributed,
+		FenceWords: attributed,
+	}
+	if total != want {
+		t.Errorf("drained %+v in total, want %+v (lost or double-counted increments)", total, want)
 	}
 }

@@ -51,22 +51,20 @@ func (c *Ctx) RecStep(line int) {
 func (c *Ctx) step(line int, updateLI bool) {
 	p := c.p
 	ps := p.steps.Add(1)
-	gs := p.sys.globalSteps.Add(1)
 	p.sys.sched.Yield(p.id)
 	fr := p.top()
 	info := fr.op.Info()
 	pt := CrashPoint{
-		Proc:       p.id,
-		Obj:        info.Obj,
-		Op:         info.Op,
-		Line:       line,
-		ProcStep:   ps,
-		GlobalStep: gs,
-		Crashes:    int(p.crashes.Load()),
-		Depth:      p.depth,
-		Attempt:    fr.attempts,
-		Recovery:   !updateLI,
-		Awaiting:   p.awaiting,
+		Proc:     p.id,
+		Obj:      info.Obj,
+		Op:       info.Op,
+		Line:     line,
+		ProcStep: ps,
+		Crashes:  int(p.crashes.Load()),
+		Depth:    p.depth,
+		Attempt:  fr.attempts,
+		Recovery: !updateLI,
+		Awaiting: p.awaiting,
 	}
 	if p.sys.inj.ShouldCrash(pt) {
 		panic(crashSignal{proc: p.id})

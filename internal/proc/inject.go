@@ -7,19 +7,21 @@ import (
 )
 
 // CrashPoint describes the point at which a crash may be injected: process
-// p is about to execute the given line of the given operation.
+// p is about to execute the given line of the given operation. Every
+// field is the process's own state: a step reads no counter another
+// process writes, so the system-wide step count is not among them (see
+// System.GlobalSteps).
 type CrashPoint struct {
-	Proc       int
-	Obj        string
-	Op         string
-	Line       int
-	ProcStep   uint64 // number of steps p has taken (1-based, this one included)
-	GlobalStep uint64 // number of steps taken system-wide
-	Crashes    int    // crashes p has suffered so far
-	Depth      int    // nesting depth (1 = top-level operation)
-	Attempt    int    // recovery attempts of the current frame so far
-	Recovery   bool   // the line belongs to recovery code (entered via RecStep)
-	Awaiting   bool   // the process is inside an Await/AwaitFor loop
+	Proc     int
+	Obj      string
+	Op       string
+	Line     int
+	ProcStep uint64 // number of steps p has taken (1-based, this one included)
+	Crashes  int    // crashes p has suffered so far
+	Depth    int    // nesting depth (1 = top-level operation)
+	Attempt  int    // recovery attempts of the current frame so far
+	Recovery bool   // the line belongs to recovery code (entered via RecStep)
+	Awaiting bool   // the process is inside an Await/AwaitFor loop
 }
 
 // Injector decides whether a process crashes at a given point. Injectors

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -596,7 +597,6 @@ func TestCrashPointFields(t *testing.T) {
 		t.Fatal("no crash points observed")
 	}
 	var sawParentDepth, sawChildDepth bool
-	var lastGlobal uint64
 	for i, pt := range points {
 		if pt.Proc != 1 {
 			t.Errorf("point %d: Proc = %d", i, pt.Proc)
@@ -604,10 +604,6 @@ func TestCrashPointFields(t *testing.T) {
 		if pt.ProcStep != uint64(i+1) {
 			t.Errorf("point %d: ProcStep = %d, want %d", i, pt.ProcStep, i+1)
 		}
-		if pt.GlobalStep <= lastGlobal {
-			t.Errorf("point %d: GlobalStep not increasing", i)
-		}
-		lastGlobal = pt.GlobalStep
 		switch pt.Obj {
 		case "parent":
 			if pt.Depth != 1 {
@@ -624,14 +620,38 @@ func TestCrashPointFields(t *testing.T) {
 	if !sawParentDepth || !sawChildDepth {
 		t.Error("did not observe both nesting depths")
 	}
-	if sys.GlobalSteps() != lastGlobal {
-		t.Errorf("GlobalSteps = %d, want %d", sys.GlobalSteps(), lastGlobal)
+	if last := points[len(points)-1].ProcStep; sys.GlobalSteps() != last {
+		t.Errorf("GlobalSteps = %d, want the last point's ProcStep %d", sys.GlobalSteps(), last)
 	}
 	if got := sys.Proc(1).ID(); got != 1 {
 		t.Errorf("ID = %d", got)
 	}
 	if got := sys.N(); got != 1 {
 		t.Errorf("N = %d", got)
+	}
+
+	// Two processes under the controlled scheduler: the system-wide count
+	// is the sum of the per-process counters, and every step offered
+	// exactly one crash point.
+	var offered atomic.Uint64
+	sys2 := NewSystem(Config{Procs: 2, Scheduler: NewControlled(RandomPicker(5)),
+		Injector: Func(func(CrashPoint) bool { offered.Add(1); return false })})
+	child2 := &childOp{a: sys2.Mem().Alloc("A", 0)}
+	parent2 := &parentOp{child: child2, r: sys2.Mem().Alloc("R", 0)}
+	body := func(c *Ctx) {
+		for i := 0; i < 3; i++ {
+			c.Invoke(parent2, uint64(c.P()))
+		}
+	}
+	if err := sys2.Run(map[int]func(*Ctx){1: body, 2: body}); err != nil {
+		t.Fatal(err)
+	}
+	p1, p2 := sys2.Proc(1).Steps(), sys2.Proc(2).Steps()
+	if p1 == 0 || p2 == 0 {
+		t.Fatalf("per-process steps %d and %d, want both positive", p1, p2)
+	}
+	if got := sys2.GlobalSteps(); got != p1+p2 || got != offered.Load() {
+		t.Errorf("GlobalSteps = %d, want Σ Proc.Steps() = %d = crash points offered %d", got, p1+p2, offered.Load())
 	}
 }
 

@@ -66,7 +66,8 @@ type StuckReport struct {
 	Proc   int
 	Line   int
 	Budget int
-	// GlobalStep is the system-wide step counter at report time.
+	// GlobalStep is the system-wide step count at report time
+	// (System.GlobalSteps).
 	GlobalStep uint64
 	// Parked lists every process inside an Await loop (including Proc).
 	Parked []AwaitInfo
@@ -196,7 +197,7 @@ func (s *System) stuckReport(p, line, budget int) StuckReport {
 		Proc:       p,
 		Line:       line,
 		Budget:     budget,
-		GlobalStep: s.globalSteps.Load(),
+		GlobalStep: s.GlobalSteps(),
 		Parked:     s.Parked(),
 	}
 	parked := make(map[int]bool, len(r.Parked))

@@ -69,7 +69,6 @@ type System struct {
 	inj           Injector
 	sched         Scheduler
 	procs         []*Proc
-	globalSteps   atomic.Uint64
 	awaitBudget   int
 	recoverPanics bool
 	wg            sync.WaitGroup
@@ -138,8 +137,18 @@ func (s *System) Mem() *nvm.Memory { return s.mem }
 // Proc returns process p (1-based).
 func (s *System) Proc(p int) *Proc { return s.procs[p] }
 
-// GlobalSteps reports the total number of steps taken system-wide.
-func (s *System) GlobalSteps() uint64 { return s.globalSteps.Load() }
+// GlobalSteps reports the total number of steps taken system-wide: the
+// sum of the per-process counters, read when asked. No step writes a
+// shared counter, so under the free scheduler the sum is a moment's
+// reading of a moving total; under the controlled scheduler, where one
+// process runs between yields, it is exact.
+func (s *System) GlobalSteps() uint64 {
+	var n uint64
+	for _, p := range s.procs[1:] {
+		n += p.steps.Load()
+	}
+	return n
+}
 
 // History returns the history recorded so far (empty if no recorder).
 func (s *System) History() history.History {
@@ -248,9 +257,9 @@ type Proc struct {
 	// uncontended op lifecycle performs no heap allocation at all.
 	frames [MaxNestingDepth]frame
 	depth  int
-	// steps and crashes are atomics only so that StuckReport builders can
-	// snapshot them from other goroutines; all writes happen on the
-	// process's own goroutine.
+	// steps and crashes are atomics only so that StuckReport builders and
+	// System.GlobalSteps can read them from other goroutines; all writes
+	// happen on the process's own goroutine.
 	steps   atomic.Uint64
 	crashes atomic.Int32
 	done    atomic.Bool
@@ -327,7 +336,8 @@ func (p *Proc) record(k history.Kind, fr *frame, args []uint64, ret uint64) {
 
 // emitOp sends one operation-lifecycle trace event for fr. The event
 // snapshots the frame's LI, recovery-attempt count and nesting depth, and
-// the process/global step counters, at the moment of emission.
+// the process's step counter and the system-wide sum, at the moment of
+// emission.
 func (p *Proc) emitOp(k trace.Kind, fr *frame, args []uint64, ret uint64) {
 	t := p.sys.tracer
 	if t == nil {
@@ -337,7 +347,7 @@ func (p *Proc) emitOp(k trace.Kind, fr *frame, args []uint64, ret uint64) {
 	t.Emit(trace.Event{
 		Kind: k, P: p.id, Obj: info.Obj, Op: info.Op,
 		Depth: p.depth, Line: fr.li, Attempt: fr.attempts,
-		PStep: p.steps.Load(), GStep: p.sys.globalSteps.Load(),
+		PStep: p.steps.Load(), GStep: p.sys.GlobalSteps(),
 		Addr: int32(nvm.InvalidAddr), Args: args, Ret: ret,
 	})
 }
@@ -347,7 +357,8 @@ func (p *Proc) emitOp(k trace.Kind, fr *frame, args []uint64, ret uint64) {
 // the durable backend's commit fences. The first operation argument
 // (begin) or the response (end/recover-exit) travels in Val — it is
 // what lets the kill harness line surviving records up against
-// recovered state.
+// recovered state. The gstep field carries the process's own step
+// count, so the always-on recorder reads no other process's counter.
 func (p *Proc) recordFR(kind flightrec.Kind, fr *frame, val uint64) {
 	r := p.sys.frec
 	if r == nil {
@@ -368,7 +379,7 @@ func (p *Proc) recordFR(kind flightrec.Kind, fr *frame, val uint64) {
 		fr.fref, fr.frefOK = p.frefCache, true
 	}
 	r.RecordOp(kind, p.id, p.depth, fr.fref,
-		fr.li, fr.attempts, val, p.sys.globalSteps.Load())
+		fr.li, fr.attempts, val, p.steps.Load())
 }
 
 // call runs a top-level operation to completion, surviving any number of
