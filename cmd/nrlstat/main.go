@@ -104,6 +104,7 @@ func run(args []string, w io.Writer) error {
 
 	var (
 		check string
+		raw   *nvm.StatsSnapshot // durable-log: counts of its untraced accesses
 		err   error
 	)
 	switch *scenario {
@@ -116,7 +117,7 @@ func run(args []string, w io.Writer) error {
 	case "mixed":
 		check, err = mixedScenario(cfg, tracer)
 	case "durable-log":
-		check, err = durableLogScenario(cfg, tracer)
+		check, raw, err = durableLogScenario(cfg, tracer)
 	default:
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
@@ -132,6 +133,13 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "scenario %s: procs=%d ops=%d rate=%g maxcrashes=%d seed=%d\n\n",
 		*scenario, cfg.procs, cfg.ops, cfg.rate, cfg.maxCrashes, cfg.seed)
 	p := trace.Build(ring.Events())
+	if raw != nil {
+		p.PerObject["log"].Mem = trace.MemCounts{
+			Reads: raw.Reads, Writes: raw.Writes, CASes: raw.CASes, TASes: raw.TASes,
+			FAAs: raw.FAAs, Flushes: raw.Flushes, Fences: raw.Fences,
+		}
+		p.Fences = raw.Fences
+	}
 	for _, tab := range harness.ProfileTables(p) {
 		tab.Fprint(w)
 	}
@@ -266,15 +274,15 @@ func mixedScenario(cfg config, tracer trace.Tracer) (string, error) {
 // buffered NVRAM, with a power failure (nvm.Memory.CrashAll) halfway.
 // The log bypasses the proc operation layer, so the scenario emits the
 // lifecycle events itself — invoke/response around each append (as
-// process 1, the driver), crash/recover at the power failure — while the
-// memory events come from the instrumented NVRAM, attributed to the log
-// by allocation name. That makes flush/op and fence/op in the profile
-// real numbers: this is the one scenario where persistence is explicit
-// (buffered mode) rather than elided by ADR. The NRL check is replaced
-// by a durable-prefix check. -procs, -rate and -maxcrashes are ignored.
-func durableLogScenario(cfg config, tracer trace.Tracer) (string, error) {
+// process 1), crash/recover at the power failure — and its raw memory
+// accesses are not traced: it returns the memory's Stats, which the
+// profile books under the log. That makes flush/op and fence/op in the
+// profile real numbers: this is the one scenario where persistence is
+// explicit (buffered mode) rather than elided by ADR. The NRL check is
+// replaced by a durable-prefix check. -procs, -rate and -maxcrashes are
+// ignored.
+func durableLogScenario(cfg config, tracer trace.Tracer) (string, *nvm.StatsSnapshot, error) {
 	mem := nvm.New(nvm.WithMode(nvm.Buffered))
-	mem.SetTracer(tracer)
 	log := durable.NewLog(mem, "log", cfg.ops+1)
 	appendOp := func(i int) {
 		tracer.Emit(trace.Event{Kind: trace.Invoke, P: 1, Obj: "log", Op: "APPEND",
@@ -293,15 +301,16 @@ func durableLogScenario(cfg config, tracer trace.Tracer) (string, error) {
 	tracer.Emit(trace.Event{Kind: trace.Recover, P: 1, Obj: "log", Depth: 1,
 		Addr: int32(nvm.InvalidAddr)})
 	if got := log.Len(); got != uint64(half) {
-		return "", fmt.Errorf("after power failure: log length %d, want %d", got, half)
+		return "", nil, fmt.Errorf("after power failure: log length %d, want %d", got, half)
 	}
 	for i := half; i < cfg.ops; i++ {
 		appendOp(i)
 	}
 	for i := 0; i < cfg.ops; i++ {
 		if got := log.Get(uint64(i)); got != uint64(i)+1 {
-			return "", fmt.Errorf("record %d = %d, want %d", i, got, i+1)
+			return "", nil, fmt.Errorf("record %d = %d, want %d", i, got, i+1)
 		}
 	}
-	return "durable-prefix check: ok", nil
+	st := mem.Stats()
+	return "durable-prefix check: ok", &st, nil
 }

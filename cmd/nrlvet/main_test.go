@@ -40,7 +40,7 @@ func golden(t *testing.T, name string, wantCode int, args ...string) string {
 // finding per represented analyzer and exits 1.
 func TestSeededGolden(t *testing.T) {
 	o := golden(t, "seeded", exitFindings, "-dir", "testdata/src/seeded")
-	for _, rule := range []string{"missed-flush", "flush-no-fence", "zero-attr", "order-violation", "empty-reason"} {
+	for _, rule := range []string{"missed-flush", "flush-no-fence", "untyped-record", "order-violation", "empty-reason"} {
 		if !strings.Contains(o, rule) {
 			t.Errorf("text output missing rule %q:\n%s", rule, o)
 		}

@@ -5,8 +5,8 @@
 package seeded
 
 import (
+	"nrl/internal/flightrec"
 	"nrl/internal/nvm"
-	"nrl/internal/trace"
 )
 
 func missedFlush(m *nvm.Memory, a nvm.Addr, v uint64, commit bool) {
@@ -21,8 +21,8 @@ func flushNoFence(m *nvm.Memory, a nvm.Addr, v uint64) {
 	m.Flush(a)
 }
 
-func zeroAttr(m *nvm.Memory, a nvm.Addr, v uint64) {
-	m.WriteAt(a, v, trace.Attr{})
+func kindless(r *flightrec.Recorder) {
+	r.Record(flightrec.Rec{P: 1, Obj: "seeded"})
 }
 
 type cell struct {

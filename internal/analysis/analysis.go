@@ -140,7 +140,7 @@ const (
 	EvRMW                              // CAS/TAS/FAA and their *At forms
 	EvFlush                            // Flush/FlushAt
 	EvFence                            // Fence/FenceAt
-	EvPersist                          // Persist/PersistAt (flush+fence of one word)
+	EvPersist                          // Persist (flush+fence of one word)
 	EvPersistBuffered                  // persistBuffered(c, addrs...): flush each + fence
 	EvHelper                           // summarized helper call: effects per flags
 )
@@ -183,7 +183,6 @@ func (e *Event) Fences() bool {
 const (
 	memoryType = "nrl/internal/nvm.Memory"
 	ctxType    = "nrl/internal/proc.Ctx"
-	attrType   = "nrl/internal/trace.Attr"
 	recType    = "nrl/internal/flightrec.Rec"
 )
 
@@ -267,7 +266,7 @@ func classify(info *types.Info, call *ast.CallExpr) *Event {
 		}
 	case "Fence", "FenceAt":
 		return ev(EvFence)
-	case "Persist", "PersistAt":
+	case "Persist":
 		if a := arg0(); a != nil {
 			return ev(EvPersist, a)
 		}

@@ -23,10 +23,8 @@
 //     store-ordering lattice (cell contents before link publication,
 //     witness before ack, tag before install); stores must be persisted
 //     before the declared publication ops on every path.
-//   - traceattr: *At call sites must pass a non-zero trace.Attr, a
-//     function must not mix attributions, and flight-recorder Rec
-//     literals must carry a Kind (plus an Obj for lifecycle kinds),
-//     keeping PR 1's profiles and the black box's forensics
+//   - traceattr: flight-recorder Rec literals must carry a Kind (plus
+//     an Obj for lifecycle kinds), keeping the black box's forensics
 //     trustworthy.
 //   - checkconv: CLIs use the budgeted CheckNRLBudget conventions (and
 //     never discard a budgeted verdict) rather than raw unbudgeted

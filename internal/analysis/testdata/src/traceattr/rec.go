@@ -1,6 +1,5 @@
-// Golden cases for the recorder-record side of traceattr: flight
-// recorder Rec literals must carry a Kind, and lifecycle kinds must
-// name their object.
+// Golden cases for traceattr: flight recorder Rec literals must carry
+// a Kind, and lifecycle kinds must name their object.
 package traceattr
 
 import (

@@ -3,24 +3,15 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
-	"go/types"
-	"strings"
 )
 
-// TraceAttr keeps the PR 1 observability layer honest: traces are only
-// as useful as their attribution, and a mis-attributed event silently
-// corrupts every per-object latency and recovery profile downstream.
+// TraceAttr keeps the flight recorder's records honest: forensics is
+// only as useful as the records' attribution, and a kindless or
+// unattributed record silently corrupts the in-flight report it was
+// written to explain. (Trace events need no such rule: nvm's primitives
+// take only the issuing pid, and proc fills Obj and Op from the frame,
+// so their attribution cannot be written by hand.)
 //
-//   - zero-attr: a Memory `*At` call passes a zero trace.Attr literal.
-//     The *At forms exist precisely to carry attribution; passing
-//     trace.Attr{} produces an anonymous event indistinguishable from
-//     the untraced shorthand. Call the zero-attr wrapper instead, or
-//     thread a real Attr (operation code goes through proc.Ctx, which
-//     attributes automatically).
-//   - mismatched-op: an Attr literal written inside a method sets Op to
-//     a constant that differs from the Op the receiver's Info() method
-//     declares. Profiles are keyed by (Obj, Op); a copy-pasted Op books
-//     this operation's latency under a different row.
 //   - untyped-record: a flightrec.Rec literal carries no Kind (or a
 //     constant-zero Kind). The zero Rec is not a valid record; a ring
 //     full of kindless records decodes as torn garbage after the one
@@ -32,7 +23,7 @@ import (
 //     nobody can find.
 var TraceAttr = &Analyzer{
 	Name: "traceattr",
-	Doc:  "*At calls and recorder records must carry real, op-consistent attribution",
+	Doc:  "recorder records must carry a kind, and lifecycle records an object",
 	Run:  runTraceAttr,
 }
 
@@ -46,34 +37,11 @@ const (
 )
 
 func runTraceAttr(p *Pass) error {
-	opByRecv := declaredOps(p)
 	for _, fn := range funcDecls(p) {
-		declaredOp, hasOp := opByRecv[receiverTypeName(fn)]
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.CompositeLit); ok {
 				if tv, ok := p.Info.Types[lit]; ok && tv.Type != nil && tv.Type.String() == recType {
 					checkRecLit(p, lit)
-				}
-				return true
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeFunc(p.Info, call)
-			if callee != nil && recvNamed(callee) == memoryType && strings.HasSuffix(callee.Name(), "At") {
-				if lit := attrArg(p.Info, call); lit != nil && zeroAttrLit(p.Info, lit) {
-					p.Reportf(lit.Pos(), "zero-attr",
-						"%s is passed a zero trace.Attr; use the zero-attr shorthand %s or attribute the event (Ctx methods attribute automatically)",
-						callee.Name(), strings.TrimSuffix(callee.Name(), "At"))
-				}
-			}
-			if hasOp {
-				if lit := attrArg(p.Info, call); lit != nil {
-					if op, set := attrField(p.Info, lit, "Op"); set && op != declaredOp {
-						p.Reportf(lit.Pos(), "mismatched-op",
-							"Attr.Op %q does not match the enclosing operation's declared Op %q; profiles keyed by (Obj, Op) will book this event under the wrong row", op, declaredOp)
-					}
 				}
 			}
 			return true
@@ -135,93 +103,4 @@ func recField(lit *ast.CompositeLit, name string, pos int) ast.Expr {
 		}
 	}
 	return nil
-}
-
-// declaredOps maps receiver type name -> the Op string its Info()
-// method declares in the proc.OpInfo literal.
-func declaredOps(p *Pass) map[string]string {
-	out := map[string]string{}
-	for _, fn := range funcDecls(p) {
-		recv := receiverTypeName(fn)
-		if recv == "" || fn.Name.Name != "Info" {
-			continue
-		}
-		for _, st := range fn.Body.List {
-			ret, ok := st.(*ast.ReturnStmt)
-			if !ok || len(ret.Results) != 1 {
-				continue
-			}
-			lit, ok := ast.Unparen(ret.Results[0]).(*ast.CompositeLit)
-			if !ok {
-				continue
-			}
-			if op, set := attrField(p.Info, lit, "Op"); set {
-				out[recv] = op
-			}
-		}
-	}
-	return out
-}
-
-// attrArg returns the call argument of type trace.Attr, if it is a
-// composite literal (non-literal attrs are someone else's provenance).
-func attrArg(info *types.Info, call *ast.CallExpr) *ast.CompositeLit {
-	for _, arg := range call.Args {
-		tv, ok := info.Types[arg]
-		if !ok || tv.Type == nil || tv.Type.String() != attrType {
-			continue
-		}
-		if lit, ok := ast.Unparen(arg).(*ast.CompositeLit); ok {
-			return lit
-		}
-		return nil
-	}
-	return nil
-}
-
-// zeroAttrLit reports whether a trace.Attr literal is all-zero.
-func zeroAttrLit(info *types.Info, lit *ast.CompositeLit) bool {
-	for _, el := range lit.Elts {
-		v := el
-		if kv, ok := el.(*ast.KeyValueExpr); ok {
-			v = kv.Value
-		}
-		tv, ok := info.Types[v]
-		if !ok || tv.Value == nil {
-			return false // non-constant element: can't prove zero
-		}
-		switch tv.Value.Kind() {
-		case constant.Int:
-			if n, exact := constant.Int64Val(tv.Value); !exact || n != 0 {
-				return false
-			}
-		case constant.String:
-			if constant.StringVal(tv.Value) != "" {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// attrField extracts a constant-string field from a composite literal.
-func attrField(info *types.Info, lit *ast.CompositeLit, name string) (string, bool) {
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || key.Name != name {
-			continue
-		}
-		tv, ok := info.Types[kv.Value]
-		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-			return "", false
-		}
-		return constant.StringVal(tv.Value), true
-	}
-	return "", false
 }

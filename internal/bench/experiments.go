@@ -214,13 +214,13 @@ func bufferedCASRow(procs int, persist bool) Spec {
 			addrs := mem.AllocArray("w", words, 0)
 			ops := make([]func(int), workers)
 			for w := range ops {
-				at, a := trace.Attr{P: w + 1}, addrs[w%words]
+				p, a := w+1, addrs[w%words]
 				ops[w] = func(int) {
-					v := mem.ReadAt(a, at)
-					mem.CASAt(a, v, v+1, at)
+					v := mem.ReadAt(a, p)
+					mem.CASAt(a, v, v+1, p)
 					if persist {
-						mem.FlushAt(a, at)
-						mem.FenceAt(at)
+						mem.FlushAt(a, p)
+						mem.FenceAt(p)
 					}
 				}
 			}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nrl/internal/nvm"
-	"nrl/internal/trace"
 )
 
 // TestMeasurePersistRates runs a miniature buffered persist workload
@@ -24,12 +23,12 @@ func TestMeasurePersistRates(t *testing.T) {
 			addrs := mem.AllocArray("w", workers, 0)
 			ops := make([]func(int), workers)
 			for w := range ops {
-				at := trace.Attr{P: w + 1}
+				p := w + 1
 				a := addrs[w]
 				ops[w] = func(i int) {
-					mem.WriteAt(a, uint64(i), at)
-					mem.FlushAt(a, at)
-					mem.FenceAt(at)
+					mem.WriteAt(a, uint64(i), p)
+					mem.FlushAt(a, p)
+					mem.FenceAt(p)
 				}
 			}
 			return mem, ops

@@ -356,11 +356,13 @@ func (o *strictCASOp) Exec(c *proc.Ctx, line int) uint64 {
 	}
 }
 
-// PersistedCASResponse reports the response persisted by p's last strict
-// CAS, with ok=false if no strict CAS response is currently persisted.
-func (o *CASObject) PersistedCASResponse(mem *nvm.Memory, p int) (resp uint64, ok bool) {
-	if mem.Read(o.resValid[p]) != 1 {
+// PersistedCASResponse reports the response persisted by c's process's
+// last strict CAS, with ok=false if no strict CAS response is currently
+// persisted.
+func (o *CASObject) PersistedCASResponse(c *proc.Ctx) (resp uint64, ok bool) {
+	p := c.P()
+	if c.Read(o.resValid[p]) != 1 {
 		return 0, false
 	}
-	return mem.Read(o.resVal[p]), true
+	return c.Read(o.resVal[p]), true
 }

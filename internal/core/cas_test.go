@@ -191,13 +191,13 @@ func TestStrictCASBasic(t *testing.T) {
 	if !o.StrictCAS(c, 0, v(1, 1)) {
 		t.Error("StrictCAS failed")
 	}
-	if resp, ok := o.PersistedCASResponse(sys.Mem(), 1); !ok || resp != 1 {
+	if resp, ok := o.PersistedCASResponse(sys.Proc(1).Ctx()); !ok || resp != 1 {
 		t.Errorf("PersistedCASResponse = %d,%v, want 1,true", resp, ok)
 	}
 	if o.StrictCAS(c, 0, v(1, 2)) {
 		t.Error("second StrictCAS(0,_) succeeded")
 	}
-	if resp, ok := o.PersistedCASResponse(sys.Mem(), 1); !ok || resp != 0 {
+	if resp, ok := o.PersistedCASResponse(sys.Proc(1).Ctx()); !ok || resp != 0 {
 		t.Errorf("PersistedCASResponse = %d,%v, want 0,true", resp, ok)
 	}
 	mustNRL(t, casModels(), rec.History())
@@ -221,7 +221,7 @@ func TestStrictCASCrashEveryLine(t *testing.T) {
 			if !o.StrictCAS(c, 0, v(1, 1)) {
 				t.Error("StrictCAS failed")
 			}
-			if resp, ok := o.PersistedCASResponse(sys.Mem(), 1); !ok || resp != 1 {
+			if resp, ok := o.PersistedCASResponse(sys.Proc(1).Ctx()); !ok || resp != 1 {
 				t.Errorf("PersistedCASResponse = %d,%v, want 1,true", resp, ok)
 			}
 			mustNRL(t, casModels(), rec.History())
@@ -247,7 +247,7 @@ func TestStrictCASDoubleCrash(t *testing.T) {
 	if got := sys.Proc(1).Crashes(); got != 2 {
 		t.Errorf("Crashes = %d, want 2", got)
 	}
-	if resp, ok := o.PersistedCASResponse(sys.Mem(), 1); !ok || resp != 1 {
+	if resp, ok := o.PersistedCASResponse(sys.Proc(1).Ctx()); !ok || resp != 1 {
 		t.Errorf("PersistedCASResponse = %d,%v, want 1,true", resp, ok)
 	}
 	mustNRL(t, casModels(), rec.History())

@@ -237,9 +237,10 @@ func (o *regStrictRead) Exec(c *proc.Ctx, line int) uint64 {
 	}
 }
 
-// PersistedResponse returns the value most recently persisted in p's Res_p
-// word by a strict read. It is what a higher-level recovery function reads
-// when the process crashed immediately after a strict read returned.
-func (r *Register) PersistedResponse(mem *nvm.Memory, p int) uint64 {
-	return mem.Read(r.res[p])
+// PersistedResponse returns the value most recently persisted in the
+// Res_p word of c's process by a strict read. It is what a higher-level
+// recovery function reads when the process crashed immediately after a
+// strict read returned.
+func (r *Register) PersistedResponse(c *proc.Ctx) uint64 {
+	return c.Read(r.res[c.P()])
 }

@@ -47,7 +47,7 @@ func TestRegisterBasic(t *testing.T) {
 	if got := r.StrictRead(c); got != 7 {
 		t.Errorf("StrictRead = %d, want 7", got)
 	}
-	if got := r.PersistedResponse(sys.Mem(), 1); got != 7 {
+	if got := r.PersistedResponse(sys.Proc(1).Ctx()); got != 7 {
 		t.Errorf("PersistedResponse = %d, want 7", got)
 	}
 	if r.Name() != "x" {
@@ -114,7 +114,7 @@ func TestRegisterStrictReadCrashEveryLine(t *testing.T) {
 			if got := r.StrictRead(c); got != 5 {
 				t.Errorf("StrictRead = %d, want 5", got)
 			}
-			if got := r.PersistedResponse(sys.Mem(), 1); got != 5 {
+			if got := r.PersistedResponse(sys.Proc(1).Ctx()); got != 5 {
 				t.Errorf("PersistedResponse = %d, want 5", got)
 			}
 			mustNRL(t, regModels(0), rec.History())

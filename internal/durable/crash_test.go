@@ -1,29 +1,35 @@
 package durable_test
 
 import (
+	"fmt"
 	"testing"
 
 	"nrl/internal/durable"
 	"nrl/internal/nvm"
-	"nrl/internal/trace"
 )
 
 // powerFail is the sentinel unwinding an execution at the injected
 // power-failure point.
 type powerFail struct{}
 
-// crashAtEvent is a trace sink that simulates a power failure at the k-th
-// memory primitive: it discards all non-durable state and unwinds. The
-// memory emits events after its internal locks are released, so calling
-// CrashAll from inside Emit is safe.
-type crashAtEvent struct {
+// crasher is a phase hook (nvm.WithPhaseHook) that simulates a power
+// failure at the k-th phase transition after it is armed: it discards
+// all non-durable state and unwinds. Durable state changes only at
+// fences, and every fence, flush and first store to a clean word fires
+// the hook, so its points reach every post-crash state that a crash
+// after each primitive reaches. The hook runs with no memory lock held,
+// so it may call CrashAll.
+type crasher struct {
 	mem *nvm.Memory
-	k   int
+	k   int // the armed point; 0 while disarmed
 	n   int
 	hit bool
 }
 
-func (c *crashAtEvent) Emit(trace.Event) {
+func (c *crasher) phase(nvm.Phase) {
+	if c.k == 0 {
+		return
+	}
 	c.n++
 	if c.n == c.k {
 		c.hit = true
@@ -32,15 +38,25 @@ func (c *crashAtEvent) Emit(trace.Event) {
 	}
 }
 
-// disarm stops the sink from firing, so post-crash verification reads
-// (which also emit events) cannot trigger a second failure.
-func (c *crashAtEvent) disarm() { c.k = -1 }
+// newCrasher returns a fresh buffered memory whose phase hook is a
+// disarmed crasher.
+func newCrasher() (*nvm.Memory, *crasher) {
+	c := &crasher{}
+	c.mem = nvm.New(nvm.WithMode(nvm.Buffered), nvm.WithPhaseHook(c.phase))
+	return c.mem, c
+}
+
+func (c *crasher) arm(k int) { c.k, c.n = k, 0 }
+
+// disarm stops the crasher from firing, so post-crash verification
+// cannot trigger a second failure.
+func (c *crasher) disarm() { c.k = 0 }
 
 // TestLogCrashBetweenFlushAndFence is the exhaustive buffered-mode
 // robustness test: it re-runs an append workload with a power failure at
-// every single memory primitive the workload executes — in particular at
-// the points between a record's Flush and its Fence, and between the
-// record's fence and the length word's — and asserts the durable log
+// every crash point the workload reaches (see crasher) — in particular
+// between a record's Flush and its Fence, and between the record's fence
+// and the length word's — and asserts the durable log
 // never exposes a half-persisted record. The invariant is the
 // fence-consistent prefix: the recovered length n covers only records
 // whose fenced value matches what was appended, and n never exceeds the
@@ -49,25 +65,26 @@ func TestLogCrashBetweenFlushAndFence(t *testing.T) {
 	const appends = 4
 	values := []uint64{11, 22, 33, 44}
 
+	outcomes := map[string]bool{}
 	for k := 1; ; k++ {
-		mem := nvm.New(nvm.WithMode(nvm.Buffered))
+		mem, crash := newCrasher()
 		l := durable.NewLog(mem, "log", 8)
-		crash := &crashAtEvent{mem: mem, k: k}
-		mem.SetTracer(crash)
+		crash.arm(k)
 
-		completed := run(l, values, crash)
+		started, completed := run(l, values)
 		crash.disarm()
+		outcomes[fmt.Sprint(started, completed, l.Snapshot())] = true
 
 		n := l.Len()
 		if n > uint64(appends) {
-			t.Fatalf("event %d: Len = %d after %d appends", k, n, appends)
+			t.Fatalf("crash point %d: Len = %d after %d appends", k, n, appends)
 		}
 		if n < uint64(completed) {
-			t.Fatalf("event %d: completed append lost: Len = %d, %d appends returned", k, n, completed)
+			t.Fatalf("crash point %d: completed append lost: Len = %d, %d appends returned", k, n, completed)
 		}
 		for i := uint64(0); i < n; i++ {
 			if got := l.Get(i); got != values[i] {
-				t.Fatalf("event %d: half-persisted record: Get(%d) = %d, want %d (Len %d)",
+				t.Fatalf("crash point %d: half-persisted record: Get(%d) = %d, want %d (Len %d)",
 					k, i, got, values[i], n)
 			}
 		}
@@ -75,15 +92,18 @@ func TestLogCrashBetweenFlushAndFence(t *testing.T) {
 			if completed != appends {
 				t.Fatalf("crash-free run completed %d/%d appends", completed, appends)
 			}
-			t.Logf("swept power failure at each of %d memory events", k-1)
+			t.Logf("swept power failure at each of %d crash points: %d outcomes", k-1, len(outcomes))
+			if len(outcomes) != 9 {
+				t.Errorf("%d distinct outcomes, want 9", len(outcomes))
+			}
 			return
 		}
 	}
 }
 
 // run appends values until a power failure unwinds it, returning how many
-// appends completed (returned) before the failure.
-func run(l *durable.Log, values []uint64, crash *crashAtEvent) (completed int) {
+// appends started and how many completed (returned) before the failure.
+func run(l *durable.Log, values []uint64) (started, completed int) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(powerFail); !ok {
@@ -92,25 +112,26 @@ func run(l *durable.Log, values []uint64, crash *crashAtEvent) (completed int) {
 		}
 	}()
 	for _, v := range values {
+		started++
 		l.Append(v)
 		completed++
 	}
-	return completed
+	return started, completed
 }
 
 // TestRegisterCrashAtEveryEvent applies the same exhaustive power-failure
-// sweep to the two-bank register: after a crash at any primitive, Read
+// sweep to the two-bank register: after a crash at any point, Read
 // returns either the last completed Write's value or the one before it —
 // never a torn mix.
 func TestRegisterCrashAtEveryEvent(t *testing.T) {
 	writes := []uint64{5, 6, 7}
+	outcomes := map[string]bool{}
 	for k := 1; ; k++ {
-		mem := nvm.New(nvm.WithMode(nvm.Buffered))
+		mem, crash := newCrasher()
 		r := durable.NewRegister(mem, "r", 1)
-		crash := &crashAtEvent{mem: mem, k: k}
-		mem.SetTracer(crash)
+		crash.arm(k)
 
-		completed := func() (completed int) {
+		started, completed := func() (started, completed int) {
 			defer func() {
 				if rec := recover(); rec != nil {
 					if _, ok := rec.(powerFail); !ok {
@@ -119,14 +140,16 @@ func TestRegisterCrashAtEveryEvent(t *testing.T) {
 				}
 			}()
 			for _, v := range writes {
+				started++
 				r.Write(v)
 				completed++
 			}
-			return completed
+			return started, completed
 		}()
 		crash.disarm()
 
 		got := r.Read()
+		outcomes[fmt.Sprint(started, completed, got)] = true
 		valid := map[uint64]bool{}
 		// Completed writes survive; the in-flight one may or may not have
 		// committed, so its value is also legal — but nothing else is.
@@ -139,9 +162,13 @@ func TestRegisterCrashAtEveryEvent(t *testing.T) {
 			valid[writes[completed]] = true
 		}
 		if !valid[got] {
-			t.Fatalf("event %d: torn register: Read = %d after %d completed writes", k, got, completed)
+			t.Fatalf("crash point %d: torn register: Read = %d after %d completed writes", k, got, completed)
 		}
 		if !crash.hit {
+			t.Logf("swept power failure at each of %d crash points: %d outcomes", k-1, len(outcomes))
+			if len(outcomes) != 7 {
+				t.Errorf("%d distinct outcomes, want 7", len(outcomes))
+			}
 			return
 		}
 	}

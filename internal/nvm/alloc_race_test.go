@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"nrl/internal/trace"
 )
 
 // TestAllocGrowthUnderLoad is the -race regression test for allocation
@@ -48,12 +46,12 @@ func TestAllocGrowthUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			at := trace.Attr{P: g + 1}
+			p := g + 1
 			a := stable[g*len(stable)/accessors]
 			for i := 0; i < accessOps; i++ {
-				m.WriteAt(a, uint64(i), at)
-				m.FlushAt(a, at)
-				m.FenceAt(at)
+				m.WriteAt(a, uint64(i), p)
+				m.FlushAt(a, p)
+				m.FenceAt(p)
 				if got := m.Durable(a); got != uint64(i) {
 					t.Errorf("accessor %d: Durable = %d, want %d", g, got, i)
 					return

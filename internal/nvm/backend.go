@@ -151,9 +151,11 @@ type phaseHookOption struct{ fn func(Phase) }
 func (o phaseHookOption) apply(m *Memory) { m.phase = o.fn }
 
 // WithPhaseHook installs a callback observing persistence-phase
-// transitions (Buffered mode only). The hook is called synchronously
-// from the mutating goroutine with no memory locks held; it must not
-// re-enter the Memory.
+// transitions (Buffered mode only): every store to a clean word, every
+// flush and every fence fires it, after the primitive took effect. The
+// hook is called synchronously from the mutating goroutine with no
+// memory lock held, so it may call back into the Memory — CrashAll
+// included, which simulates a power failure at that point.
 func WithPhaseHook(fn func(Phase)) Option { return phaseHookOption{fn} }
 
 // Err returns nil while the memory is healthy, and the sticky

@@ -22,7 +22,7 @@
 // slabs (shard.go), and the banks grow through copy-on-write chunk
 // tables, so every primitive resolves its word with one atomic pointer
 // load and mutates it with plain atomics — the hot path takes no lock
-// and, untraced, performs no allocation. Persistence bookkeeping is per
+// and performs no allocation. Persistence bookkeeping is per
 // process rather than global: a Flush captures its (address, value)
 // pair into the issuing process's flush set and a Fence drains exactly
 // that set, the way SFENCE orders only the issuing CPU's cache-line
@@ -35,4 +35,14 @@
 // Alloc/AllocArray reserve addresses with a single atomic increment —
 // allocation is cheap enough to appear on hot paths, though real NRL
 // programs allocate at setup and recovery time only.
+//
+// # Who issued an access
+//
+// A primitive's *At form (ReadAt, WriteAt, ..., FenceAt) takes the
+// issuing process id, which selects the stats stripe it counts into and
+// the flush set a flush or fence works on; the plain forms are pid 0,
+// the shared stripe and set of raw accesses. That pid is all the memory
+// knows about its callers: it emits no trace events. Package proc
+// traces the primitives a Ctx issues, attributed to the inner-most
+// pending operation, and raw accesses are visible in Stats only.
 package nvm

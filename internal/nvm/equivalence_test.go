@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"nrl/internal/trace"
 )
 
 // refMemory is the reference model for the differential test: the
@@ -165,12 +163,11 @@ func TestShardEquivalence(t *testing.T) {
 			const steps = 4000
 			for i := 0; i < steps; i++ {
 				p := 1 + rng.Intn(procs)
-				at := trace.Attr{P: p}
 				a := addrs[rng.Intn(len(addrs))]
 				switch op := rng.Intn(100); {
 				case op < 25: // write
 					v := uint64(rng.Intn(8))
-					m.WriteAt(a, v, at)
+					m.WriteAt(a, v, p)
 					ref.write(a, v)
 				case op < 40: // cas (old drawn from current value half the time)
 					old := uint64(rng.Intn(8))
@@ -178,23 +175,23 @@ func TestShardEquivalence(t *testing.T) {
 						old = ref.read(a)
 					}
 					new := uint64(rng.Intn(8))
-					if got, want := m.CASAt(a, old, new, at), ref.cas(a, old, new); got != want {
+					if got, want := m.CASAt(a, old, new, p), ref.cas(a, old, new); got != want {
 						t.Fatalf("step %d: CAS(%d,%d,%d) = %v, ref %v", i, a, old, new, got, want)
 					}
 				case op < 45: // tas
-					if got, want := m.TASAt(a, at), ref.tas(a); got != want {
+					if got, want := m.TASAt(a, p), ref.tas(a); got != want {
 						t.Fatalf("step %d: TAS(%d) = %d, ref %d", i, a, got, want)
 					}
 				case op < 55: // faa
 					d := uint64(1 + rng.Intn(4))
-					if got, want := m.FAAAt(a, d, at), ref.faa(a, d); got != want {
+					if got, want := m.FAAAt(a, d, p), ref.faa(a, d); got != want {
 						t.Fatalf("step %d: FAA(%d,%d) = %d, ref %d", i, a, d, got, want)
 					}
 				case op < 75: // flush (sometimes several before any fence)
-					m.FlushAt(a, at)
+					m.FlushAt(a, p)
 					ref.flushAt(p, a)
 				case op < 88: // fence (often of an empty or re-flushed set)
-					m.FenceAt(at)
+					m.FenceAt(p)
 					ref.fence(p)
 					checkState(i, "fence")
 				case op < 92: // raw, unattributed flush+fence (bucket 0)

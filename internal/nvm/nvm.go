@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"nrl/internal/trace"
 )
 
 // Mode selects the persistence semantics of a Memory.
@@ -52,10 +50,10 @@ const InvalidAddr Addr = -1
 // (address, value) pair in the issuing process's flush set, and a Fence
 // drains exactly that set — no global scan, no cross-process
 // interference, mirroring how SFENCE orders only the issuing CPU's
-// cache-line write-backs. Raw accesses without attribution share flush
-// set 0. The operation counters follow the same rule: each primitive
-// counts into the issuing process's stripe (see stats.go), so the hot
-// path writes no cache line another process writes.
+// cache-line write-backs. Raw accesses (the forms without a pid) share
+// flush set 0. The operation counters follow the same rule: each
+// primitive counts into the issuing process's stripe (see stats.go), so
+// the hot path writes no cache line another process writes.
 type Memory struct {
 	mode Mode
 
@@ -94,14 +92,10 @@ type Memory struct {
 	// stripes are the per-process operation counters (see stats.go).
 	stripes [statStripes]statStripe
 
-	// trc, when non-nil, receives one trace event per primitive. It is
-	// set once, before the memory is shared (see SetTracer), so the
-	// nil-check on the hot path needs no synchronisation.
-	trc trace.Tracer
-
 	// frec, when non-nil, receives one crash-surviving fence marker per
-	// drained fence (see SetRecorder). Same once-before-sharing contract
-	// as trc.
+	// drained fence. It is set once, before the memory is shared (see
+	// SetRecorder), so the nil-check on the fence path needs no
+	// synchronisation.
 	frec FenceRecorder
 }
 
@@ -138,42 +132,10 @@ func New(opts ...Option) *Memory {
 // Mode reports the persistence mode of the memory.
 func (m *Memory) Mode() Mode { return m.mode }
 
-// SetTracer installs a trace sink receiving one event per memory
-// primitive. It must be called before the memory is shared between
-// goroutines (proc.NewSystem installs Config.Tracer here). nil leaves
-// the primitives untraced: no events are constructed at all.
-func (m *Memory) SetTracer(t trace.Tracer) { m.trc = t }
-
 // SetRecorder installs a flight recorder receiving one fence marker per
-// drained fence. Like SetTracer, it must be called before the memory is
-// shared (proc.NewSystem installs Config.FlightRec here).
+// drained fence. It must be called before the memory is shared between
+// goroutines (proc.NewSystem installs Config.FlightRec here).
 func (m *Memory) SetRecorder(r FenceRecorder) { m.frec = r }
-
-// emit sends one memory-primitive event. With no tracer installed it is
-// a single predictable branch — no event construction, no allocation —
-// so call sites may invoke it unconditionally. Attribution: an empty
-// at.Obj is filled with the root of the target word's allocation name,
-// so raw accesses (outside any recoverable operation) still land under
-// a usable per-object key in profiles.
-func (m *Memory) emit(k trace.Kind, a Addr, ret uint64, at trace.Attr) {
-	if m.trc == nil {
-		return
-	}
-	e := trace.Event{
-		Kind: k, P: at.P, Obj: at.Obj, Op: at.Op, Depth: at.Depth,
-		Addr: int32(a), Ret: ret,
-	}
-	if a != InvalidAddr {
-		name := m.Name(a)
-		if e.Obj == "" {
-			e.Obj = trace.Root(name)
-		}
-		if k == trace.MemFlush {
-			e.Name = name
-		}
-	}
-	m.trc.Emit(e)
-}
 
 // Alloc allocates one word initialized to init and returns its address.
 // The name is retained for tracing and error messages only.
@@ -274,64 +236,57 @@ func (m *Memory) dirtied(w *word) {
 	}
 }
 
-// Read atomically reads the word at a.
-func (m *Memory) Read(a Addr) uint64 { return m.ReadAt(a, trace.Attr{}) } //nrl:ignore zero-attr by definition: this wrapper IS the untraced shorthand the rule steers callers to
+// Read atomically reads the word at a. It is ReadAt issued by pid 0, as
+// are the other forms without a pid: raw accesses count into stats
+// stripe 0 and share flush set 0.
+func (m *Memory) Read(a Addr) uint64 { return m.ReadAt(a, 0) }
 
-// ReadAt is Read carrying trace attribution for the issuing operation
-// (package proc routes Ctx accesses through here).
+// ReadAt is Read issued by process p: the read counts into p's stats
+// stripe (package proc routes Ctx accesses through the *At forms).
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
-func (m *Memory) ReadAt(a Addr, at trace.Attr) uint64 {
+func (m *Memory) ReadAt(a Addr, p int) uint64 {
 	v := m.wordAt(a).val.Load()
-	m.statsFor(at.P).reads.Add(1)
-	if m.trc != nil {
-		m.emit(trace.MemRead, a, v, at)
-	}
+	m.statsFor(p).reads.Add(1)
 	return v
 }
 
 // Write atomically stores v into the word at a.
-func (m *Memory) Write(a Addr, v uint64) { m.WriteAt(a, v, trace.Attr{}) } //nrl:ignore zero-attr by definition: untraced shorthand
+func (m *Memory) Write(a Addr, v uint64) { m.WriteAt(a, v, 0) }
 
-// WriteAt is Write carrying trace attribution. On a degraded memory the
-// store is dropped (see Err).
+// WriteAt is Write issued by process p, counted in p's stats stripe. On
+// a degraded memory the store is dropped (see Err).
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
-func (m *Memory) WriteAt(a Addr, v uint64, at trace.Attr) {
+func (m *Memory) WriteAt(a Addr, v uint64, p int) {
 	if m.degraded.Load() {
 		return
 	}
 	w := m.wordAt(a)
 	w.val.Store(v)
-	m.statsFor(at.P).writes.Add(1)
+	m.statsFor(p).writes.Add(1)
 	if m.mode == Buffered {
 		m.dirtied(w)
 	} else if m.backend != nil {
 		m.commitOne(a, v)
 	}
-	if m.trc != nil {
-		m.emit(trace.MemWrite, a, v, at)
-	}
 }
 
 // CAS atomically replaces the word at a with new if it currently holds old,
 // reporting whether the swap happened.
-func (m *Memory) CAS(a Addr, old, new uint64) bool {
-	return m.CASAt(a, old, new, trace.Attr{}) //nrl:ignore zero-attr by definition: untraced shorthand
-}
+func (m *Memory) CAS(a Addr, old, new uint64) bool { return m.CASAt(a, old, new, 0) }
 
-// CASAt is CAS carrying trace attribution. The emitted event's Ret is 1
-// for a successful swap and 0 for a failed one. On a degraded memory
-// the swap is rejected (returns false; see Err).
+// CASAt is CAS issued by process p, counted in p's stats stripe. On a
+// degraded memory the swap is rejected (returns false; see Err).
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
-func (m *Memory) CASAt(a Addr, old, new uint64, at trace.Attr) bool {
+func (m *Memory) CASAt(a Addr, old, new uint64, p int) bool {
 	if m.degraded.Load() {
 		return false
 	}
 	w := m.wordAt(a)
 	ok := w.val.CompareAndSwap(old, new)
-	m.statsFor(at.P).cases.Add(1)
+	m.statsFor(p).cases.Add(1)
 	if ok {
 		if m.mode == Buffered {
 			m.dirtied(w)
@@ -339,66 +294,53 @@ func (m *Memory) CASAt(a Addr, old, new uint64, at trace.Attr) bool {
 			m.commitOne(a, new)
 		}
 	}
-	var ret uint64
-	if ok {
-		ret = 1
-	}
-	if m.trc != nil {
-		m.emit(trace.MemCAS, a, ret, at)
-	}
 	return ok
 }
 
 // TAS atomically sets the word at a to 1 and returns its previous value.
 // It implements the paper's non-resettable t&s primitive; the word is
 // expected to be used only with values 0 and 1.
-func (m *Memory) TAS(a Addr) uint64 { return m.TASAt(a, trace.Attr{}) } //nrl:ignore zero-attr by definition: untraced shorthand
+func (m *Memory) TAS(a Addr) uint64 { return m.TASAt(a, 0) }
 
-// TASAt is TAS carrying trace attribution. On a degraded memory the set
-// is rejected and the current value returned unchanged (see Err).
+// TASAt is TAS issued by process p, counted in p's stats stripe. On a
+// degraded memory the set is rejected and the current value returned
+// unchanged (see Err).
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
-func (m *Memory) TASAt(a Addr, at trace.Attr) uint64 {
+func (m *Memory) TASAt(a Addr, p int) uint64 {
 	if m.degraded.Load() {
 		return m.wordAt(a).val.Load()
 	}
 	w := m.wordAt(a)
 	prev := w.val.Swap(1)
-	m.statsFor(at.P).tases.Add(1)
+	m.statsFor(p).tases.Add(1)
 	if m.mode == Buffered {
 		m.dirtied(w)
 	} else if m.backend != nil {
 		m.commitOne(a, 1)
 	}
-	if m.trc != nil {
-		m.emit(trace.MemTAS, a, prev, at)
-	}
 	return prev
 }
 
 // FAA atomically adds delta to the word at a and returns the previous value.
-func (m *Memory) FAA(a Addr, delta uint64) uint64 {
-	return m.FAAAt(a, delta, trace.Attr{}) //nrl:ignore zero-attr by definition: untraced shorthand
-}
+func (m *Memory) FAA(a Addr, delta uint64) uint64 { return m.FAAAt(a, delta, 0) }
 
-// FAAAt is FAA carrying trace attribution. On a degraded memory the add
-// is rejected and the current value returned unchanged (see Err).
+// FAAAt is FAA issued by process p, counted in p's stats stripe. On a
+// degraded memory the add is rejected and the current value returned
+// unchanged (see Err).
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
-func (m *Memory) FAAAt(a Addr, delta uint64, at trace.Attr) uint64 {
+func (m *Memory) FAAAt(a Addr, delta uint64, p int) uint64 {
 	if m.degraded.Load() {
 		return m.wordAt(a).val.Load()
 	}
 	w := m.wordAt(a)
 	prev := w.val.Add(delta) - delta
-	m.statsFor(at.P).faas.Add(1)
+	m.statsFor(p).faas.Add(1)
 	if m.mode == Buffered {
 		m.dirtied(w)
 	} else if m.backend != nil {
 		m.commitOne(a, prev+delta)
-	}
-	if m.trc != nil {
-		m.emit(trace.MemFAA, a, prev, at)
 	}
 	return prev
 }
@@ -407,24 +349,23 @@ func (m *Memory) FAAAt(a Addr, delta uint64, at trace.Attr) uint64 {
 // current value is captured into the issuing process's flush set and
 // becomes durable at that process's next Fence; in ADR mode Flush only
 // counts (stores are already durable).
-func (m *Memory) Flush(a Addr) { m.FlushAt(a, trace.Attr{}) } //nrl:ignore untraced delegation shorthand; the fence is the caller's obligation, not this wrapper's
+func (m *Memory) Flush(a Addr) { m.FlushAt(a, 0) } //nrl:ignore delegation shorthand; the fence is the caller's obligation, not this wrapper's
 
-// FlushAt is Flush carrying trace attribution. at.P selects the flush
-// set the capture is tracked in (0 = the shared unattributed set). The
-// emitted event's Name records the flushed word's allocation name, so
-// profiles can attribute unowned flushes to the word's root object.
+// FlushAt is Flush issued by process p: the flush counts into p's stats
+// stripe, and in Buffered mode its capture joins p's flush set (0 = the
+// shared set of raw accesses), which only p's next fence drains.
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
-func (m *Memory) FlushAt(a Addr, at trace.Attr) {
+func (m *Memory) FlushAt(a Addr, p int) {
 	if m.degraded.Load() {
 		return
 	}
-	m.statsFor(at.P).flushes.Add(1)
+	m.statsFor(p).flushes.Add(1)
 	if m.mode == Buffered {
 		w := m.wordAt(a)
 		v := w.val.Load()
-		fs := m.flushSetFor(at.P)
-		shared := at.P <= 0
+		fs := m.flushSetFor(p)
+		shared := p <= 0
 		if shared {
 			fs.mu.Lock()
 		}
@@ -443,19 +384,16 @@ func (m *Memory) FlushAt(a Addr, at trace.Attr) {
 			m.phase(PhaseFlushing)
 		}
 	}
-	if m.trc != nil {
-		m.emit(trace.MemFlush, a, 0, at)
-	}
 }
 
 // Fence makes the values flushed by this caller durable. In ADR mode it
 // only counts.
-func (m *Memory) Fence() { m.FenceAt(trace.Attr{}) } //nrl:ignore zero-attr by definition: untraced shorthand
+func (m *Memory) Fence() { m.FenceAt(0) }
 
-// FenceAt is Fence carrying trace attribution. The emitted event has no
-// address: a fence orders every outstanding flush of the issuing
-// process (at.P; 0 = the shared unattributed set) at once. It drains
-// exactly that process's flush set — the per-process tracking invariant:
+// FenceAt is Fence issued by process p, counted in p's stats stripe. A
+// fence has no address: it orders every outstanding flush of p (0 = the
+// shared set of raw accesses) at once. It drains exactly that process's
+// flush set — the per-process tracking invariant:
 // every NRL persistence obligation is a flush followed by a fence by
 // the same process, so a fence never needs to commit (or scan for)
 // another process's captures.
@@ -468,13 +406,13 @@ func (m *Memory) Fence() { m.FenceAt(trace.Attr{}) } //nrl:ignore zero-attr by d
 // never claims durability that storage does not have.
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
-func (m *Memory) FenceAt(at trace.Attr) {
+func (m *Memory) FenceAt(p int) {
 	if m.degraded.Load() {
 		return
 	}
-	m.statsFor(at.P).fences.Add(1)
+	m.statsFor(p).fences.Add(1)
 	if m.mode == Buffered {
-		if err := m.drainFlushes(at.P); err != nil {
+		if err := m.drainFlushes(p); err != nil {
 			m.degrade(err)
 			return
 		}
@@ -485,9 +423,6 @@ func (m *Memory) FenceAt(at trace.Attr) {
 				m.phase(PhaseFenced)
 			}
 		}
-	}
-	if m.trc != nil {
-		m.emit(trace.MemFence, InvalidAddr, 0, at)
 	}
 }
 
@@ -589,14 +524,9 @@ func (m *Memory) applyPersist(e WordUpdate) {
 
 // Persist flushes the word at a and fences, making its current value
 // durable before returning.
-func (m *Memory) Persist(a Addr) { m.PersistAt(a, trace.Attr{}) } //nrl:ignore zero-attr by definition: untraced shorthand
-
-// PersistAt is Persist carrying trace attribution.
-//
-//nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
-func (m *Memory) PersistAt(a Addr, at trace.Attr) {
-	m.FlushAt(a, at)
-	m.FenceAt(at)
+func (m *Memory) Persist(a Addr) {
+	m.Flush(a)
+	m.Fence()
 }
 
 // CrashAll simulates a full-system power failure: every word reverts to its

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
-
-	"nrl/internal/trace"
 )
 
 func TestAllocAndName(t *testing.T) {
@@ -87,7 +85,7 @@ func TestStatStripeLayout(t *testing.T) {
 	a := m.Alloc("a", 0)
 	m.Write(a, 1)
 	for _, p := range []int{1, 2, 17} {
-		m.WriteAt(a, 1, trace.Attr{P: p})
+		m.WriteAt(a, 1, p)
 	}
 	for i, want := range map[int]uint64{0: 1, 1: 2, 2: 1} {
 		if got := m.stripes[i].writes.Load(); got != want {

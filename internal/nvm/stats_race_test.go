@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"nrl/internal/trace"
 )
 
 // TestStatsConcurrentSampling hammers Stats and ResetStats while memory
@@ -106,18 +104,18 @@ func TestDrainStatsExactness(t *testing.T) {
 	}
 	for k, p := range pids {
 		ww.Add(1)
-		go func(a Addr, at trace.Attr) {
+		go func(a Addr, p int) {
 			defer ww.Done()
 			for i := 0; i < attributedIters; i++ {
-				mem.WriteAt(a, uint64(i), at)
-				if !mem.CASAt(a, uint64(i), uint64(i)+1, at) {
-					t.Errorf("p%d: CAS on its own word failed", at.P)
+				mem.WriteAt(a, uint64(i), p)
+				if !mem.CASAt(a, uint64(i), uint64(i)+1, p) {
+					t.Errorf("p%d: CAS on its own word failed", p)
 					return
 				}
-				mem.FlushAt(a, at)
-				mem.FenceAt(at)
+				mem.FlushAt(a, p)
+				mem.FenceAt(p)
 			}
-		}(own[k], trace.Attr{P: p})
+		}(own[k], p)
 	}
 	ww.Wait()
 	writersDone.Store(true)

@@ -70,9 +70,10 @@ func (o *Counter) IncOp() proc.Operation { return o.inc }
 // ReadOp exposes READ for direct nesting.
 func (o *Counter) ReadOp() proc.Operation { return o.read }
 
-// PersistedResponse returns the value p's last READ persisted in Res_p.
-func (o *Counter) PersistedResponse(mem *nvm.Memory, p int) uint64 {
-	return mem.Read(o.res[p])
+// PersistedResponse returns the value the last READ of c's process
+// persisted in its Res_p.
+func (o *Counter) PersistedResponse(c *proc.Ctx) uint64 {
+	return c.Read(o.res[c.P()])
 }
 
 // RegisterNames returns the names of the nested recoverable registers (for

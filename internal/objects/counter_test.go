@@ -69,7 +69,7 @@ func TestCounterBasic(t *testing.T) {
 	if got := ctr.Read(c2); got != 3 {
 		t.Errorf("Read = %d, want 3", got)
 	}
-	if got := ctr.PersistedResponse(sys.Mem(), 2); got != 3 {
+	if got := ctr.PersistedResponse(sys.Proc(2).Ctx()); got != 3 {
 		t.Errorf("PersistedResponse = %d, want 3", got)
 	}
 	if ctr.Name() != "ctr" {
@@ -162,7 +162,7 @@ func TestCounterReadCrashEveryLine(t *testing.T) {
 			if got := ctr.Read(c1); got != 2 {
 				t.Errorf("Read = %d, want 2", got)
 			}
-			if got := ctr.PersistedResponse(sys.Mem(), 1); got != 2 {
+			if got := ctr.PersistedResponse(sys.Proc(1).Ctx()); got != 2 {
 				t.Errorf("PersistedResponse = %d, want 2 (READ is strict)", got)
 			}
 			mustNRL(t, rec.History())

@@ -101,13 +101,14 @@ func (o *FAA) AddStrict(c *proc.Ctx, delta uint64) uint64 {
 	return c.Invoke(o.strict, delta)
 }
 
-// PersistedResponse reports the response persisted by p's last strict
-// Add, with ok=false if none is currently persisted.
-func (o *FAA) PersistedResponse(mem *nvm.Memory, p int) (resp uint64, ok bool) {
-	if mem.Read(o.resValid[p]) != 1 {
+// PersistedResponse reports the response persisted by c's process's
+// last strict Add, with ok=false if none is currently persisted.
+func (o *FAA) PersistedResponse(c *proc.Ctx) (resp uint64, ok bool) {
+	p := c.P()
+	if c.Read(o.resValid[p]) != 1 {
 		return 0, false
 	}
-	return mem.Read(o.resVal[p]), true
+	return c.Read(o.resVal[p]), true
 }
 
 // AddOp exposes FAA for direct nesting.
@@ -190,7 +191,7 @@ func (o *faaOp) Exec(c *proc.Ctx, line int) uint64 {
 				line = 2
 				continue
 			}
-			if resp, valid := o.obj.cas.PersistedCASResponse(c.Mem(), p); valid && resp == 1 {
+			if resp, valid := o.obj.cas.PersistedCASResponse(c); valid && resp == 1 {
 				return faaSum(c.Read(o.obj.att[p])) - delta
 			}
 			line = 2
@@ -303,7 +304,7 @@ func (o *faaStrictOp) Exec(c *proc.Ctx, line int) uint64 {
 				line = 31
 				continue
 			}
-			if resp, valid := o.obj.cas.PersistedCASResponse(c.Mem(), p); valid && resp == 1 {
+			if resp, valid := o.obj.cas.PersistedCASResponse(c); valid && resp == 1 {
 				r = faaSum(c.Read(o.obj.att[p])) - delta
 				line = 38
 				continue

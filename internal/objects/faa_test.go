@@ -158,7 +158,7 @@ func TestStrictFAABasic(t *testing.T) {
 	if got := f.AddStrict(c1, 5); got != 0 {
 		t.Errorf("AddStrict returned %d, want 0", got)
 	}
-	if resp, ok := f.PersistedResponse(sys.Mem(), 1); !ok || resp != 0 {
+	if resp, ok := f.PersistedResponse(sys.Proc(1).Ctx()); !ok || resp != 0 {
 		t.Errorf("PersistedResponse = %d,%v, want 0,true", resp, ok)
 	}
 	if got := f.AddStrict(sys.Proc(2).Ctx(), 3); got != 5 {
@@ -188,7 +188,7 @@ func TestStrictFAACrashEveryLine(t *testing.T) {
 			if got := f.AddStrict(c, 2); got != 0 {
 				t.Errorf("AddStrict = %d, want 0", got)
 			}
-			if resp, ok := f.PersistedResponse(sys.Mem(), 1); !ok || resp != 0 {
+			if resp, ok := f.PersistedResponse(sys.Proc(1).Ctx()); !ok || resp != 0 {
 				t.Errorf("PersistedResponse = %d,%v, want 0,true", resp, ok)
 			}
 			if got := f.AddStrict(c, 2); got != 2 {

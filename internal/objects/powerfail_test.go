@@ -1,42 +1,48 @@
 package objects_test
 
 import (
+	"fmt"
 	"testing"
 
 	"nrl/internal/nvm"
 	"nrl/internal/objects"
 	"nrl/internal/proc"
-	"nrl/internal/trace"
 )
 
 // These are the buffered-mode power-failure sweeps for the composite
 // objects, the queue/stack extension of the durable package's
 // exhaustive tests: the same workload is re-run with a full-system
 // power failure (nvm.Memory.CrashAll — every unflushed write lost)
-// injected at every single memory event the workload emits, and after
-// each crash a fresh verifier system drains the structure through the
-// same recoverable programs. The oracle is durable linearizability:
-// every completed operation's effect survives, only the in-flight
-// operation may be lost, and the structure is never torn (the drain
-// yields exactly a batch prefix — never a stale value, a zero cell, or
-// a broken chain).
+// injected at every persistence-phase transition the workload causes,
+// and after each crash a fresh verifier system drains the structure
+// through the same recoverable programs. The oracle is durable
+// linearizability: every completed operation's effect survives, only
+// the in-flight operation may be lost, and the structure is never torn
+// (the drain yields exactly a batch prefix — never a stale value, a
+// zero cell, or a broken chain).
 
 // powerFail is the sentinel unwinding an execution at the injected
 // power-failure point.
 type powerFail struct{}
 
-// crashAtEvent simulates a power failure at the k-th memory event: it
-// discards all non-durable state and unwinds. The memory emits events
-// after its internal locks are released, so calling CrashAll from
-// inside Emit is safe.
-type crashAtEvent struct {
+// crasher is a phase hook (nvm.WithPhaseHook) that simulates a power
+// failure at the k-th phase transition after it is armed: it discards
+// all non-durable state and unwinds. Durable state changes only at
+// fences, and every fence, flush and first store to a clean word fires
+// the hook, so its points reach every post-crash state that a crash
+// after each primitive reaches. The hook runs with no memory lock held,
+// so it may call CrashAll.
+type crasher struct {
 	mem *nvm.Memory
-	k   int
+	k   int // the armed point; 0 while disarmed
 	n   int
 	hit bool
 }
 
-func (c *crashAtEvent) Emit(trace.Event) {
+func (c *crasher) phase(nvm.Phase) {
+	if c.k == 0 {
+		return
+	}
 	c.n++
 	if c.n == c.k {
 		c.hit = true
@@ -45,21 +51,29 @@ func (c *crashAtEvent) Emit(trace.Event) {
 	}
 }
 
-func (c *crashAtEvent) disarm() { c.k = -1 }
+func (c *crasher) arm(k int) { c.k, c.n = k, 0 }
+func (c *crasher) disarm()   { c.k = 0 }
 
-// sweep runs body (the workload over a buffered memory) with a power
-// failure at event k for k = 1, 2, ... until a run completes without
-// hitting the failure, calling check after every crashed run. build
-// constructs the objects on a fresh system and returns the workload
-// body plus the check; both close over the per-run state.
-func sweep(t *testing.T, run func(t *testing.T, k int, crash *crashAtEvent)) {
+// sweep re-runs a workload over a fresh buffered memory with a power
+// failure at crash point k for k = 1, 2, ... until a run completes
+// without hitting it. run builds the objects (the crasher disarmed),
+// arms the crasher at k, runs the workload, disarms, checks the drained
+// state and returns the run's outcome: started and completed operations
+// and the drained contents. The sweep must reach want distinct
+// outcomes, so a change that drops crash points fails here.
+func sweep(t *testing.T, want int, run func(t *testing.T, k int, mem *nvm.Memory, crash *crasher) string) {
 	t.Helper()
+	outcomes := map[string]bool{}
 	for k := 1; ; k++ {
-		mem := nvm.New(nvm.WithMode(nvm.Buffered))
-		crash := &crashAtEvent{mem: mem, k: k}
-		run(t, k, crash)
+		crash := &crasher{}
+		mem := nvm.New(nvm.WithMode(nvm.Buffered), nvm.WithPhaseHook(crash.phase))
+		crash.mem = mem
+		outcomes[run(t, k, mem, crash)] = true
 		if !crash.hit {
-			t.Logf("swept power failure at each of %d memory events", k-1)
+			t.Logf("swept power failure at each of %d crash points: %d outcomes", k-1, len(outcomes))
+			if len(outcomes) != want {
+				t.Errorf("%d distinct outcomes, want %d", len(outcomes), want)
+			}
 			return
 		}
 	}
@@ -80,17 +94,16 @@ func workload(sys *proc.System, body func(*proc.Ctx)) (finished bool) {
 }
 
 // TestQueuePowerFailureSweep enqueues 1..4 with a power failure at
-// every memory event. After the crash, a verifier system sharing the
+// every crash point. After the crash, a verifier system sharing the
 // same memory (the objects address words, not systems) drains the
 // queue; it must yield exactly 1..j for some j with completed <= j <=
 // started — FIFO order, no torn cells, no lost completed enqueue.
 func TestQueuePowerFailureSweep(t *testing.T) {
 	const enqueues = 4
-	sweep(t, func(t *testing.T, k int, crash *crashAtEvent) {
-		mem := crash.mem
+	sweep(t, 9, func(t *testing.T, k int, mem *nvm.Memory, crash *crasher) string {
 		sys := proc.NewSystem(proc.Config{Procs: 1, Mem: mem})
-		mem.SetTracer(crash)
 		q := objects.NewQueue(sys, "q", 16)
+		crash.arm(k)
 
 		started, completed := 0, 0
 		workload(sys, func(c *proc.Ctx) {
@@ -116,27 +129,27 @@ func TestQueuePowerFailureSweep(t *testing.T) {
 		})
 
 		if len(got) < completed || len(got) > started {
-			t.Fatalf("event %d: drained %d values (%v), completed %d started %d",
+			t.Fatalf("crash point %d: drained %d values (%v), completed %d started %d",
 				k, len(got), got, completed, started)
 		}
 		for i, v := range got {
 			if v != uint64(i+1) {
-				t.Fatalf("event %d: drain out of order or torn: %v (position %d)", k, got, i)
+				t.Fatalf("crash point %d: drain out of order or torn: %v (position %d)", k, got, i)
 			}
 		}
+		return fmt.Sprint(started, completed, got)
 	})
 }
 
 // TestStackPowerFailureSweep is the stack counterpart: pushes 1..4 with
-// a power failure at every memory event, then drains. The drain must
+// a power failure at every crash point, then drains. The drain must
 // yield exactly j..1 (LIFO) for some j with completed <= j <= started.
 func TestStackPowerFailureSweep(t *testing.T) {
 	const pushes = 4
-	sweep(t, func(t *testing.T, k int, crash *crashAtEvent) {
-		mem := crash.mem
+	sweep(t, 9, func(t *testing.T, k int, mem *nvm.Memory, crash *crasher) string {
 		sys := proc.NewSystem(proc.Config{Procs: 1, Mem: mem})
-		mem.SetTracer(crash)
 		s := objects.NewStack(sys, "s", 16)
+		crash.arm(k)
 
 		started, completed := 0, 0
 		workload(sys, func(c *proc.Ctx) {
@@ -161,14 +174,15 @@ func TestStackPowerFailureSweep(t *testing.T) {
 		})
 
 		if len(got) < completed || len(got) > started {
-			t.Fatalf("event %d: drained %d values (%v), completed %d started %d",
+			t.Fatalf("crash point %d: drained %d values (%v), completed %d started %d",
 				k, len(got), got, completed, started)
 		}
 		for i, v := range got {
 			if v != uint64(len(got)-i) {
-				t.Fatalf("event %d: drain out of order or torn: %v (position %d)", k, got, i)
+				t.Fatalf("crash point %d: drain out of order or torn: %v (position %d)", k, got, i)
 			}
 		}
+		return fmt.Sprint(started, completed, got)
 	})
 }
 
@@ -177,11 +191,10 @@ func TestStackPowerFailureSweep(t *testing.T) {
 // the drain is always a contiguous FIFO window v..j of 1..3 with the
 // dequeue's effect preserved once it completed.
 func TestQueuePowerFailureMidDequeue(t *testing.T) {
-	sweep(t, func(t *testing.T, k int, crash *crashAtEvent) {
-		mem := crash.mem
+	sweep(t, 9, func(t *testing.T, k int, mem *nvm.Memory, crash *crasher) string {
 		sys := proc.NewSystem(proc.Config{Procs: 1, Mem: mem})
-		mem.SetTracer(crash)
 		q := objects.NewQueue(sys, "q", 16)
+		crash.arm(k)
 
 		var deqDone bool
 		started, completed := 0, 0
@@ -193,7 +206,7 @@ func TestQueuePowerFailureMidDequeue(t *testing.T) {
 			q.Enqueue(c, 2)
 			completed = 2
 			if got := q.Dequeue(c); got != 1 {
-				t.Errorf("event %d: Dequeue = %d, want 1", k, got)
+				t.Errorf("crash point %d: Dequeue = %d, want 1", k, got)
 			}
 			deqDone = true
 			started = 3
@@ -220,27 +233,28 @@ func TestQueuePowerFailureMidDequeue(t *testing.T) {
 		// hi covers every completed enqueue, at most every started one.
 		if len(got) == 0 {
 			if completed >= 2 || (completed >= 1 && !deqDone) {
-				t.Fatalf("event %d: drained nothing, %d enqueues completed (dequeue done: %v)",
+				t.Fatalf("crash point %d: drained nothing, %d enqueues completed (dequeue done: %v)",
 					k, completed, deqDone)
 			}
-			return
+			return fmt.Sprint(started, completed, got)
 		}
 		lo := got[0]
 		if deqDone && lo == 1 {
-			t.Fatalf("event %d: completed dequeue resurrected: drained %v", k, got)
+			t.Fatalf("crash point %d: completed dequeue resurrected: drained %v", k, got)
 		}
 		if lo != 1 && lo != 2 {
-			t.Fatalf("event %d: drain starts at %d: %v", k, lo, got)
+			t.Fatalf("crash point %d: drain starts at %d: %v", k, lo, got)
 		}
 		for i, v := range got {
 			if v != lo+uint64(i) {
-				t.Fatalf("event %d: drain not contiguous: %v (position %d)", k, got, i)
+				t.Fatalf("crash point %d: drain not contiguous: %v (position %d)", k, got, i)
 			}
 		}
 		hi := got[len(got)-1]
 		if hi < uint64(completed) || hi > uint64(started) {
-			t.Fatalf("event %d: drain %v misses completed enqueues (completed %d, started %d)",
+			t.Fatalf("crash point %d: drain %v misses completed enqueues (completed %d, started %d)",
 				k, got, completed, started)
 		}
+		return fmt.Sprint(started, completed, got)
 	})
 }

@@ -192,7 +192,7 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 			c.Write(o.obj.vict[p], queueIdx(t)) // LinkTarget_p
 			persistBuffered(c, o.obj.vict[p])
 			c.Step(8)
-			ok := c.Mem().CAS(o.obj.next[queueIdx(t)], nilIdx, idx)
+			ok := c.CAS(o.obj.next[queueIdx(t)], nilIdx, idx)
 			c.Step(9)
 			if !ok {
 				line = 4
@@ -314,7 +314,7 @@ func (o *queueDeq) Exec(c *proc.Ctx, line int) uint64 {
 				line = 1
 				continue
 			}
-			if resp, valid := o.obj.head.PersistedCASResponse(c.Mem(), p); valid && resp == 1 {
+			if resp, valid := o.obj.head.PersistedCASResponse(c); valid && resp == 1 {
 				return c.Read(o.obj.val[c.Read(o.obj.vict[p])])
 			}
 			line = 1

@@ -216,7 +216,7 @@ func (o *stackPush) Exec(c *proc.Ctx, line int) uint64 {
 			case c.LI() < 8:
 				line = 4
 			default:
-				if resp, valid := o.obj.top.PersistedCASResponse(c.Mem(), p); valid && resp == 1 {
+				if resp, valid := o.obj.top.PersistedCASResponse(c); valid && resp == 1 {
 					return Ack
 				}
 				line = 5
@@ -290,7 +290,7 @@ func (o *stackPop) Exec(c *proc.Ctx, line int) uint64 {
 				line = 2
 				continue
 			}
-			if resp, valid := o.obj.top.PersistedCASResponse(c.Mem(), p); valid && resp == 1 {
+			if resp, valid := o.obj.top.PersistedCASResponse(c); valid && resp == 1 {
 				return c.Read(o.obj.val[topIdx(c.Read(o.obj.vict[p]))])
 			}
 			line = 2

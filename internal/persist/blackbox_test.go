@@ -91,8 +91,8 @@ func TestBlackBoxTornRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img[3] ^= 0xff       // header
-	img[32+40] ^= 0xff   // first slot's payload
+	img[3] ^= 0xff        // header
+	img[32+40] ^= 0xff    // first slot's payload
 	img[32+32+40] ^= 0xa5 // second slot's payload
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,8 @@ func (c *Ctx) P() int { return c.p.id }
 // N returns the number of processes in the system.
 func (c *Ctx) N() int { return c.p.sys.N() }
 
-// Mem returns the shared NVRAM.
+// Mem returns the shared NVRAM. Operation code reads only its Mode: a
+// direct access is a raw one (pid 0), counted but never traced.
 func (c *Ctx) Mem() *nvm.Memory { return c.p.sys.mem }
 
 // Step marks that the process is about to execute the given pseudo-code
@@ -201,66 +202,125 @@ func (c *Ctx) awaitFor(line, on int, cond func() bool) {
 	}
 }
 
-// attr builds the trace attribution for a memory access issued by this
-// process: the issuing pid, the inner-most pending operation (if any) and
-// the nesting depth. The pid is always filled in — the memory keys its
-// per-process flush sets on Attr.P, tracing or not (see nvm.FenceAt) —
-// but with tracing off the frame stack is never touched, keeping the
-// untraced path allocation-free.
-func (c *Ctx) attr() trace.Attr {
-	p := c.p
-	if p.sys.tracer == nil {
-		return trace.Attr{P: p.id}
+// Read is shorthand for Mem().Read issued by this process: it counts in
+// the process's stats stripe and, in a traced system, is emitted as an
+// event attributed to the inner-most pending operation (see emitMem).
+// Operation code reaches NVRAM only through these Ctx primitives, so a
+// trace holds every primitive an operation issues.
+//
+//nrl:hotpath per-line op primitive (ROADMAP item 1)
+func (c *Ctx) Read(a nvm.Addr) uint64 {
+	v := c.p.sys.mem.ReadAt(a, c.p.id)
+	if c.p.sys.tracer != nil {
+		c.p.emitMem(trace.MemRead, a, v)
 	}
-	at := trace.Attr{P: p.id, Depth: p.depth}
-	if p.depth > 0 {
-		info := p.top().op.Info()
-		at.Obj, at.Op = info.Obj, info.Op
-	}
-	return at
+	return v
 }
 
-// Read is shorthand for Mem().Read, attributed to this process and its
-// current operation in traces.
+// Write is shorthand for Mem().Write issued by this process; see Read.
 //
 //nrl:hotpath per-line op primitive (ROADMAP item 1)
-func (c *Ctx) Read(a nvm.Addr) uint64 { return c.p.sys.mem.ReadAt(a, c.attr()) }
+func (c *Ctx) Write(a nvm.Addr, v uint64) {
+	c.p.sys.mem.WriteAt(a, v, c.p.id)
+	if c.p.sys.tracer != nil {
+		c.p.emitMem(trace.MemWrite, a, v)
+	}
+}
 
-// Write is shorthand for Mem().Write, attributed in traces.
-//
-//nrl:hotpath per-line op primitive (ROADMAP item 1)
-func (c *Ctx) Write(a nvm.Addr, v uint64) { c.p.sys.mem.WriteAt(a, v, c.attr()) }
-
-// CAS is shorthand for Mem().CAS, attributed in traces.
+// CAS is shorthand for Mem().CAS issued by this process; see Read. The
+// event's Ret is 1 for a successful swap and 0 for a failed one.
 //
 //nrl:hotpath per-line op primitive (ROADMAP item 1)
 func (c *Ctx) CAS(a nvm.Addr, old, new uint64) bool {
-	return c.p.sys.mem.CASAt(a, old, new, c.attr())
+	ok := c.p.sys.mem.CASAt(a, old, new, c.p.id)
+	if c.p.sys.tracer != nil {
+		var ret uint64
+		if ok {
+			ret = 1
+		}
+		c.p.emitMem(trace.MemCAS, a, ret)
+	}
+	return ok
 }
 
-// TAS is shorthand for Mem().TAS, attributed in traces.
+// TAS is shorthand for Mem().TAS issued by this process; see Read.
 //
 //nrl:hotpath per-line op primitive (ROADMAP item 1)
-func (c *Ctx) TAS(a nvm.Addr) uint64 { return c.p.sys.mem.TASAt(a, c.attr()) }
+func (c *Ctx) TAS(a nvm.Addr) uint64 {
+	prev := c.p.sys.mem.TASAt(a, c.p.id)
+	if c.p.sys.tracer != nil {
+		c.p.emitMem(trace.MemTAS, a, prev)
+	}
+	return prev
+}
 
-// FAA is shorthand for Mem().FAA, attributed in traces.
+// FAA is shorthand for Mem().FAA issued by this process; see Read.
 //
 //nrl:hotpath per-line op primitive (ROADMAP item 1)
 func (c *Ctx) FAA(a nvm.Addr, delta uint64) uint64 {
-	return c.p.sys.mem.FAAAt(a, delta, c.attr())
+	prev := c.p.sys.mem.FAAAt(a, delta, c.p.id)
+	if c.p.sys.tracer != nil {
+		c.p.emitMem(trace.MemFAA, a, prev)
+	}
+	return prev
 }
 
-// Flush is shorthand for Mem().Flush, attributed in traces.
+// Flush is shorthand for Mem().Flush issued by this process: the
+// capture joins the process's own flush set; see Read.
 //
 //nrl:hotpath per-line op primitive (ROADMAP item 1)
-func (c *Ctx) Flush(a nvm.Addr) { c.p.sys.mem.FlushAt(a, c.attr()) } //nrl:ignore delegation shorthand: the fence is the calling operation's line, not this wrapper's
+func (c *Ctx) Flush(a nvm.Addr) {
+	c.p.sys.mem.FlushAt(a, c.p.id) //nrl:ignore delegation shorthand: the fence is the calling operation's line, not this wrapper's
+	if c.p.sys.tracer != nil {
+		c.p.emitMem(trace.MemFlush, a, 0)
+	}
+}
 
-// Fence is shorthand for Mem().Fence, attributed in traces.
+// Fence is shorthand for Mem().Fence issued by this process: it drains
+// the process's own flush set; see Read.
 //
 //nrl:hotpath per-line op primitive (ROADMAP item 1)
-func (c *Ctx) Fence() { c.p.sys.mem.FenceAt(c.attr()) }
+func (c *Ctx) Fence() {
+	c.p.sys.mem.FenceAt(c.p.id)
+	if c.p.sys.tracer != nil {
+		c.p.emitMem(trace.MemFence, nvm.InvalidAddr, 0)
+	}
+}
 
-// Persist is shorthand for Mem().Persist, attributed in traces.
+// Persist is Flush followed by Fence: the word's current value is
+// durable when it returns.
 //
 //nrl:hotpath per-line op primitive (ROADMAP item 1)
-func (c *Ctx) Persist(a nvm.Addr) { c.p.sys.mem.PersistAt(a, c.attr()) }
+func (c *Ctx) Persist(a nvm.Addr) {
+	c.Flush(a)
+	c.Fence()
+}
+
+// emitMem sends the trace event of one memory primitive the process
+// issued, after the primitive returned. The event belongs to the
+// inner-most pending operation; at depth 0 it is attributed to the root
+// of the target word's allocation name instead. A fence has no address
+// (a is nvm.InvalidAddr); a flush carries the word's name. A mutation a
+// degraded memory rejected was not counted in its stats, and is not
+// traced either.
+func (p *Proc) emitMem(k trace.Kind, a nvm.Addr, ret uint64) {
+	mem := p.sys.mem
+	if k != trace.MemRead && mem.Err() != nil {
+		return
+	}
+	e := trace.Event{Kind: k, P: p.id, Depth: p.depth, Addr: int32(a), Ret: ret}
+	if p.depth > 0 {
+		info := p.top().op.Info()
+		e.Obj, e.Op = info.Obj, info.Op
+	}
+	if a != nvm.InvalidAddr {
+		name := mem.Name(a)
+		if e.Obj == "" {
+			e.Obj = trace.Root(name)
+		}
+		if k == trace.MemFlush {
+			e.Name = name
+		}
+	}
+	p.sys.tracer.Emit(e)
+}

@@ -21,9 +21,10 @@ type Config struct {
 	Recorder *history.Recorder
 	// Tracer, if non-nil, receives a structured trace event for every
 	// operation lifecycle transition (invoke/response/crash/recover/
-	// recover-done) and — installed into Mem via nvm.Memory.SetTracer —
-	// for every NVRAM primitive, attributed to the issuing process and
-	// operation. nil skips event construction entirely; see
+	// recover-done) and for every NVRAM primitive issued through a Ctx,
+	// attributed to the issuing process and its inner-most pending
+	// operation. Accesses made on Mem directly are counted in
+	// nvm.Memory.Stats only. nil skips event construction entirely; see
 	// internal/trace for the sinks.
 	Tracer trace.Tracer
 	// FlightRec, if non-nil, receives a crash-surviving flight-recorder
@@ -100,9 +101,6 @@ func NewSystem(cfg Config) *System {
 	budget := cfg.AwaitBudget
 	if budget == 0 {
 		budget = DefaultAwaitBudget
-	}
-	if cfg.Tracer != nil {
-		mem.SetTracer(cfg.Tracer)
 	}
 	if cfg.FlightRec != nil {
 		mem.SetRecorder(cfg.FlightRec)

@@ -158,7 +158,7 @@ func (o *acquireOp) Exec(c *proc.Ctx, line int) uint64 {
 				// Line 1 ran (HaveTicket cleared) and the strict FAA was
 				// invoked, hence completed; its persisted response is
 				// this operation's ticket.
-				resp, ok := o.lock.next.PersistedResponse(c.Mem(), p)
+				resp, ok := o.lock.next.PersistedResponse(c)
 				if !ok {
 					panic(fmt.Sprintf("rme: lock %q: strict FAA completed without persisted response", o.lock.name))
 				}

@@ -1,16 +1,20 @@
 // Package trace is the structured observability layer of the repository:
-// a low-overhead event stream threaded through the execution model (package
-// proc), the simulated NVRAM (package nvm) and the experiment harness.
+// a low-overhead event stream produced by the execution model (package
+// proc) and consumed by the profiles, the CLIs and the experiment
+// harness.
 //
 // The history recorder (package history) captures the *linearizability*
 // view of a run — invocations and responses to be checked against the NRL
 // condition. This package captures the *performance and recovery* view:
 // every operation lifecycle transition (invoke, response, crash, recover,
 // recover-done) and every memory primitive (read, write, cas, tas, faa,
-// flush, fence), each attributed to the issuing process, object and
-// nesting depth. Profiles built from the stream (see profile.go) answer
-// questions the history cannot: where recovery work concentrates, how many
-// flushes and fences a completed operation costs, how deep crashes nest.
+// flush, fence) a process issues through its proc.Ctx, each attributed
+// to the issuing process, its inner-most pending operation and the
+// nesting depth. The simulated NVRAM (package nvm) emits nothing: raw
+// accesses on an nvm.Memory are counted in its Stats only. Profiles
+// built from the stream (see profile.go) answer questions the history
+// cannot: where recovery work concentrates, how many flushes and fences
+// a completed operation costs, how deep crashes nest.
 //
 // Sinks implement the Tracer interface. Two are provided:
 //
@@ -48,7 +52,7 @@ const (
 	// function (the recovery-path analogue of Response).
 	RecoverDone
 	// MemRead .. MemFence are NVRAM primitives, attributed to the issuing
-	// process/object when known (see Attr).
+	// process and its inner-most pending operation.
 	MemRead
 	MemWrite // store to an NVRAM word
 	MemCAS   // compare-and-swap on an NVRAM word
@@ -113,8 +117,7 @@ func (k Kind) Mem() bool { return k >= MemRead && k <= MemFence }
 // does, JSONL serializes inline).
 type Event struct {
 	Kind Kind `json:"kind"`
-	// P is the issuing process id (1-based); 0 means unattributed (a raw
-	// memory access outside any process context).
+	// P is the issuing process id (1-based; 0 = none).
 	P int `json:"p,omitempty"`
 	// Obj and Op name the operation the event belongs to. For memory
 	// events issued outside an operation, Obj is the root of the word's
@@ -145,16 +148,6 @@ type Event struct {
 	// Ret is the operation response (Response/RecoverDone) or the value
 	// read/written/returned by a memory primitive.
 	Ret uint64 `json:"ret,omitempty"`
-}
-
-// Attr carries the issuing-operation attribution a memory primitive is
-// tagged with. The zero Attr means "unattributed": the memory falls back
-// to attributing by the target word's allocation name.
-type Attr struct {
-	P     int
-	Obj   string
-	Op    string
-	Depth int
 }
 
 // Tracer receives events. Implementations must be safe for concurrent

@@ -75,14 +75,14 @@ func New(sys *proc.System, name string, model spec.Model, capacity int, opNames 
 	mem := sys.Mem()
 	n := sys.N()
 	o := &Object{
-		name:   name,
-		model:  model,
-		codes:  make(map[string]uint64, len(opNames)),
-		names:  append([]string(nil), opNames...),
-		alloc:  objects.NewFAA(sys, name+".alloc"),
-		opcode: mem.AllocArray(name+".op", capacity+1, 0),
-		nargs:  mem.AllocArray(name+".nargs", capacity+1, 0),
-		next:   mem.AllocArray(name+".next", capacity+1, nilIdx),
+		name:    name,
+		model:   model,
+		codes:   make(map[string]uint64, len(opNames)),
+		names:   append([]string(nil), opNames...),
+		alloc:   objects.NewFAA(sys, name+".alloc"),
+		opcode:  mem.AllocArray(name+".op", capacity+1, 0),
+		nargs:   mem.AllocArray(name+".nargs", capacity+1, 0),
+		next:    mem.AllocArray(name+".next", capacity+1, nilIdx),
 		mine:    mem.AllocArray(name+".MyCell", n+1, 0),
 		targ:    mem.AllocArray(name+".Targ", n+1, 0),
 		scratch: make([][maxArgs]uint64, n+1),
@@ -224,7 +224,7 @@ func (o *invokeOp) Exec(c *proc.Ctx, line int) uint64 {
 			c.Step(5)
 			c.Write(o.obj.targ[p], cur)
 			c.Step(6)
-			ok := c.Mem().CAS(o.obj.next[cur], nilIdx, idx)
+			ok := c.CAS(o.obj.next[cur], nilIdx, idx)
 			c.Step(7)
 			if !ok {
 				line = 4

@@ -265,7 +265,7 @@ func (o *wfInvokeOp) Exec(c *proc.Ctx, line int) uint64 {
 				}
 			}
 			c.Step(8)
-			c.Mem().CAS(o.obj.next[h], nilIdx, pref)
+			c.CAS(o.obj.next[h], nilIdx, pref)
 			c.Step(9)
 			dec := c.Read(o.obj.next[h])
 			if dec != nilIdx { // the consensus decided; finish the node

@@ -72,7 +72,7 @@ type (
 type (
 	// Tracer receives structured trace events; install one via
 	// Config.Tracer to record every operation lifecycle transition and
-	// NVRAM primitive of a run.
+	// every NVRAM primitive a Ctx issues in a run.
 	Tracer = trace.Tracer
 	// TraceEvent is one structured trace event.
 	TraceEvent = trace.Event
