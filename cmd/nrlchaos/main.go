@@ -60,14 +60,6 @@ import (
 	"nrl/internal/trace"
 )
 
-// Exit codes (shared convention with nrlcheck and nrlsweep).
-const (
-	exitClean     = 0
-	exitViolation = 1
-	exitStuck     = 2
-	exitUsage     = 3
-)
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -101,7 +93,7 @@ func run(args []string, out, errOut io.Writer) int {
 	record := fs.String("record", "", "write the campaign's schedule trace to this JSONL file (single workload)")
 	replayTrace := fs.String("replaytrace", "", "re-execute a recorded schedule trace and diff against it")
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return harness.ExitUsage
 	}
 	if *replayTrace != "" {
 		return runReplayTrace(out, errOut, *replayTrace)
@@ -110,23 +102,17 @@ func run(args []string, out, errOut io.Writer) int {
 		return runReplay(out, errOut, *workload, *replay, *seed, *procs, *ops, *traceOut)
 	}
 
-	var loads []harness.Workload
-	if *workload == "all" {
-		loads = harness.RealWorkloads()
-	} else {
-		w, ok := harness.WorkloadByName(*workload)
-		if !ok {
-			fmt.Fprintf(errOut, "nrlchaos: unknown workload %q (want %s)\n", *workload, harness.WorkloadUsage())
-			return exitUsage
-		}
-		loads = []harness.Workload{w}
+	loads, err := harness.Select(*workload)
+	if err != nil {
+		fmt.Fprintln(errOut, "nrlchaos:", err)
+		return harness.ExitUsage
 	}
 	if *record != "" && len(loads) != 1 {
 		fmt.Fprintf(errOut, "nrlchaos: -record needs a single -workload (got %d)\n", len(loads))
-		return exitUsage
+		return harness.ExitUsage
 	}
 
-	code := exitClean
+	code := harness.ExitClean
 	for _, w := range loads {
 		res, err := chaos.Run(chaos.Config{
 			Workload: w,
@@ -137,7 +123,7 @@ func run(args []string, out, errOut io.Writer) int {
 		})
 		if err != nil {
 			fmt.Fprintf(errOut, "nrlchaos: %s: %v\n", w.Name, err)
-			return exitUsage
+			return harness.ExitUsage
 		}
 		printSummary(out, w, res, *procs, *ops)
 		if *coverage {
@@ -145,13 +131,13 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		if *record != "" {
 			if err := recordTraces(out, errOut, w, res, *procs, *ops, *record); err != nil {
-				return exitUsage
+				return harness.ExitUsage
 			}
 		}
 		if res.Failure != nil {
-			code = exitViolation
-		} else if res.Stuck > 0 && code == exitClean {
-			code = exitStuck
+			code = harness.ExitViolation
+		} else if res.Stuck > 0 && code == harness.ExitClean {
+			code = harness.ExitStuck
 		}
 	}
 	return code
@@ -187,21 +173,21 @@ func runReplayTrace(out, errOut io.Writer, path string) int {
 	rec, err := schedtrace.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlchaos:", err)
-		return exitUsage
+		return harness.ExitUsage
 	}
 	_, div, err := chaos.ReplayTrace(rec)
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlchaos:", err)
-		return exitUsage
+		return harness.ExitUsage
 	}
 	fmt.Fprintf(out, "replaytrace %s: kind %s, workload %s, seed %d, %d rounds\n",
 		path, rec.Header.Kind, rec.Header.Workload, rec.Header.Seed, len(rec.Rounds))
 	if div != nil {
 		fmt.Fprintf(out, "DIVERGED: %v\n", div)
-		return exitViolation
+		return harness.ExitViolation
 	}
 	fmt.Fprintln(out, "replay matched the recording")
-	return exitClean
+	return harness.ExitClean
 }
 
 func printSummary(out io.Writer, w harness.Workload, res *chaos.Result, procs, ops int) {
@@ -267,19 +253,19 @@ func runReplay(out, errOut io.Writer, workload, sitesFlag string, seed int64, pr
 	w, ok := harness.WorkloadByName(workload)
 	if !ok || workload == "all" {
 		fmt.Fprintf(errOut, "nrlchaos: -replay needs a single workload (want %s)\n", harness.WorkloadUsage())
-		return exitUsage
+		return harness.ExitUsage
 	}
 	sites, err := chaos.ParseSites(sitesFlag)
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlchaos:", err)
-		return exitUsage
+		return harness.ExitUsage
 	}
 	var tr trace.Tracer
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
 			fmt.Fprintln(errOut, "nrlchaos:", err)
-			return exitUsage
+			return harness.ExitUsage
 		}
 		defer f.Close()
 		jl := trace.NewJSONL(f)
@@ -291,14 +277,14 @@ func runReplay(out, errOut io.Writer, workload, sitesFlag string, seed int64, pr
 		w.Name, seed, chaos.FormatSites(sites), len(h.Steps))
 	if verdict == nil {
 		fmt.Fprintln(out, "verdict: ok (no NRL violation)")
-		return exitClean
+		return harness.ExitClean
 	}
 	var se *proc.StuckError
 	if errors.As(verdict, &se) {
 		fmt.Fprintln(out, "verdict: STUCK")
 		printIndented(out, se.Report.String(), "  ")
-		return exitStuck
+		return harness.ExitStuck
 	}
 	fmt.Fprintf(out, "verdict: VIOLATION: %v\nhistory:\n%s", verdict, h)
-	return exitViolation
+	return harness.ExitViolation
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nrl/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -53,21 +55,21 @@ func golden(t *testing.T, name string, wantCode int, args ...string) {
 // TestCampaignBrokenGolden: the negative control exits 1 and prints the
 // failure block with a replayable flag line.
 func TestCampaignBrokenGolden(t *testing.T) {
-	golden(t, "broken", exitViolation,
+	golden(t, "broken", harness.ExitViolation,
 		"-workload", "broken", "-procs", "1", "-ops", "2", "-runs", "30", "-seed", "42")
 }
 
 // TestCampaignCleanGolden: a real algorithm exits 0 with its coverage
 // summary (and full table).
 func TestCampaignCleanGolden(t *testing.T) {
-	golden(t, "counter", exitClean,
+	golden(t, "counter", harness.ExitClean,
 		"-workload", "counter", "-runs", "25", "-seed", "7", "-coverage")
 }
 
 // TestCampaignStuckGolden: the stuck strawman exits 2 and prints the
 // structured watchdog report instead of panicking.
 func TestCampaignStuckGolden(t *testing.T) {
-	golden(t, "stuck", exitStuck,
+	golden(t, "stuck", harness.ExitStuck,
 		"-workload", "stuck", "-procs", "1", "-ops", "1", "-runs", "3", "-seed", "3")
 }
 
@@ -75,7 +77,7 @@ func TestCampaignStuckGolden(t *testing.T) {
 // (seed and site taken from testdata/broken.golden) and exits 1 with the
 // violating history.
 func TestReplayGolden(t *testing.T) {
-	golden(t, "replay", exitViolation,
+	golden(t, "replay", harness.ExitViolation,
 		"-workload", "broken", "-procs", "1", "-ops", "2",
 		"-seed", "6349198060258255764", "-replay", "p1@8")
 }
@@ -89,8 +91,8 @@ func TestReplayTrace(t *testing.T) {
 		"-workload", "broken", "-procs", "1", "-ops", "2",
 		"-seed", "6349198060258255764", "-replay", "p1@8", "-trace", path,
 	}, &out, &errOut)
-	if code != exitViolation {
-		t.Fatalf("exit %d, want %d\n%s%s", code, exitViolation, out.String(), errOut.String())
+	if code != harness.ExitViolation {
+		t.Fatalf("exit %d, want %d\n%s%s", code, harness.ExitViolation, out.String(), errOut.String())
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -118,7 +120,7 @@ func TestTargetedCampaign(t *testing.T) {
 	code := run([]string{
 		"-workload", "cas", "-runs", "10", "-seed", "5", "-target", "recovery",
 	}, &out, &errOut)
-	if code != exitClean {
+	if code != harness.ExitClean {
 		t.Fatalf("exit %d, want 0\n%s%s", code, out.String(), errOut.String())
 	}
 	if !strings.Contains(out.String(), "cas") {
@@ -139,7 +141,7 @@ func TestChaosCampaign(t *testing.T) {
 	code := run([]string{"-real", "-replicas", "3", "-appends", "20", "-capacity", "16384",
 		"-maxdelay", "60ms", "-dir", filepath.Join(dir, "set"), "-rounds", "6", "-seed", "3",
 		"-record", rec}, &out, &errOut)
-	if code != exitClean {
+	if code != harness.ExitClean {
 		t.Fatalf("campaign exit %d:\n%s\n%s", code, out.String(), errOut.String())
 	}
 	var rounds, kills, clean int
@@ -157,7 +159,7 @@ func TestChaosCampaign(t *testing.T) {
 
 	out.Reset()
 	code = run([]string{"-real", "-dir", filepath.Join(dir, "replay"), "-replaytrace", rec}, &out, &errOut)
-	if code != exitClean || !strings.Contains(out.String(), "schedule matched") {
+	if code != harness.ExitClean || !strings.Contains(out.String(), "schedule matched") {
 		t.Fatalf("replay exit %d:\n%s\n%s", code, out.String(), errOut.String())
 	}
 }
@@ -176,8 +178,8 @@ func TestUsageErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != exitUsage {
-			t.Errorf("run(%v) = exit %d, want %d", args, code, exitUsage)
+		if code := run(args, &out, &errOut); code != harness.ExitUsage {
+			t.Errorf("run(%v) = exit %d, want %d", args, code, harness.ExitUsage)
 		}
 		if out.Len() != 0 {
 			t.Errorf("run(%v) wrote to stdout on a usage error:\n%s", args, out.String())

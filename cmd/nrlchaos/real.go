@@ -11,6 +11,7 @@ import (
 
 	"nrl/internal/chaos"
 	schedtrace "nrl/internal/chaos/trace"
+	"nrl/internal/harness"
 )
 
 // runReal is the -real campaign: instead of simulated crashes inside
@@ -38,11 +39,11 @@ func runReal(args []string, out, errOut io.Writer) int {
 	record := fs.String("record", "", "write the campaign's schedule trace to this JSONL file")
 	replayTrace := fs.String("replaytrace", "", "re-execute a recorded kill trace over a fresh root and diff its schedule")
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return harness.ExitUsage
 	}
 	if *replicas < 1 {
 		fmt.Fprintln(errOut, "nrlchaos: -replicas must be >= 1")
-		return exitUsage
+		return harness.ExitUsage
 	}
 
 	root := *dir
@@ -50,7 +51,7 @@ func runReal(args []string, out, errOut io.Writer) int {
 		d, err := os.MkdirTemp("", "nrlchaos-real-")
 		if err != nil {
 			fmt.Fprintln(errOut, "nrlchaos:", err)
-			return exitUsage
+			return harness.ExitUsage
 		}
 		root = d
 	}
@@ -58,7 +59,7 @@ func runReal(args []string, out, errOut io.Writer) int {
 	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlchaos:", err)
-		return exitUsage
+		return harness.ExitUsage
 	}
 	worker := func(wc chaos.KillWorkerConfig) *exec.Cmd {
 		wargs := []string{"-realworker",
@@ -86,7 +87,7 @@ func runReal(args []string, out, errOut io.Writer) int {
 		rec, rerr := schedtrace.ReadFile(*replayTrace)
 		if rerr != nil {
 			fmt.Fprintln(errOut, "nrlchaos:", rerr)
-			return exitUsage
+			return harness.ExitUsage
 		}
 		res, div, err = chaos.ReplayKillTrace(rec, root, worker)
 	} else {
@@ -103,12 +104,12 @@ func runReal(args []string, out, errOut io.Writer) int {
 	}
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlchaos:", err)
-		return exitUsage
+		return harness.ExitUsage
 	}
 	if *record != "" {
 		if werr := res.Trace.WriteFile(*record); werr != nil {
 			fmt.Fprintln(errOut, "nrlchaos:", werr)
-			return exitUsage
+			return harness.ExitUsage
 		}
 		fmt.Fprintf(out, "schedule trace: %s (%d rounds)\n", *record, len(res.Trace.Rounds))
 	}
@@ -148,11 +149,11 @@ func runReal(args []string, out, errOut io.Writer) int {
 			printIndented(out, tr, "  ")
 		}
 		fmt.Fprintf(out, "root kept for inspection: %s\n", root)
-		return exitViolation
+		return harness.ExitViolation
 	}
 	if div != nil {
 		fmt.Fprintf(out, "schedule DIVERGED from %s: %v\n", *replayTrace, div)
-		return exitViolation
+		return harness.ExitViolation
 	}
 	if *replayTrace != "" {
 		fmt.Fprintf(out, "schedule matched the recording %s\n", *replayTrace)
@@ -162,7 +163,7 @@ func runReal(args []string, out, errOut io.Writer) int {
 	} else {
 		os.RemoveAll(root)
 	}
-	return exitClean
+	return harness.ExitClean
 }
 
 // runRealWorker is the -realworker mode: one incarnation of the
@@ -182,11 +183,11 @@ func runRealWorker(args []string, out, errOut io.Writer) int {
 	seed := fs.Int64("seed", 0, "replica-set jitter seed for this incarnation")
 	verify := fs.Bool("verify", false, "recover and verify only, no appends")
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return harness.ExitUsage
 	}
 	if *dir == "" || *replicas < 1 {
 		fmt.Fprintln(errOut, "nrlchaos: -realworker needs -dir and -replicas >= 1")
-		return exitUsage
+		return harness.ExitUsage
 	}
 	return chaos.RunKillWorker(chaos.KillWorkerConfig{
 		Root:       *dir,

@@ -25,14 +25,6 @@ import (
 	"nrl/internal/proc"
 )
 
-// Exit codes (shared convention with nrlsweep and nrlchaos).
-const (
-	exitClean     = 0
-	exitViolation = 1
-	exitStuck     = 2
-	exitUsage     = 3
-)
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -49,19 +41,13 @@ func run(args []string, out, errOut io.Writer) int {
 	awaitBudget := fs.Int("awaitbudget", 0, "await iterations before the watchdog declares a livelock (0 = default)")
 	checkBudget := fs.Int("budget", chaos.DefaultCheckBudget, "WGL search budget per history (degrades to windowed prefixes when exceeded)")
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return harness.ExitUsage
 	}
 
-	var loads []harness.Workload
-	if *obj == "all" {
-		loads = harness.RealWorkloads()
-	} else {
-		w, ok := harness.WorkloadByName(*obj)
-		if !ok {
-			fmt.Fprintf(errOut, "nrlcheck: unknown workload %q (want %s)\n", *obj, harness.WorkloadUsage())
-			return exitUsage
-		}
-		loads = []harness.Workload{w}
+	loads, err := harness.Select(*obj)
+	if err != nil {
+		fmt.Fprintln(errOut, "nrlcheck:", err)
+		return harness.ExitUsage
 	}
 	for _, w := range loads {
 		np := w.Procs(*procs)
@@ -72,12 +58,12 @@ func run(args []string, out, errOut io.Writer) int {
 			var se *proc.StuckError
 			if errors.As(err, &se) {
 				fmt.Fprintf(out, "%s seed %d: STUCK\n%s\n", w.Name, seed, se.Report.String())
-				return exitStuck
+				return harness.ExitStuck
 			}
 			if err != nil {
 				fmt.Fprintf(out, "%s seed %d: VIOLATION\n%v\n\nhistory:\n%s", w.Name, seed, err, h)
 				fmt.Fprintln(errOut, "nrlcheck:", w.Name, "NRL violated at seed", seed)
-				return exitViolation
+				return harness.ExitViolation
 			}
 			if *verbose {
 				fmt.Fprintf(out, "%s seed %d: ok (%d steps, %d crashes)\n", w.Name, seed, h.Len(), crashes)
@@ -86,7 +72,7 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintf(out, "%-12s ok: %d runs x %d procs x %d ops, %d crashes injected, all NRL\n",
 			w.Name, *seeds, np, *ops, totalCrashes)
 	}
-	return exitClean
+	return harness.ExitClean
 }
 
 // runOnce performs one seeded run. It returns a *proc.StuckError (wrapped)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nrl/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -38,13 +40,13 @@ func golden(t *testing.T, name string, wantCode int, args ...string) string {
 // TestCounterGolden: a clean run exits 0 with a deterministic summary
 // (controlled scheduler, seeded picker and injector, no wall-clock).
 func TestCounterGolden(t *testing.T) {
-	golden(t, "counter", exitClean, "-obj", "counter", "-seeds", "5", "-ops", "3")
+	golden(t, "counter", harness.ExitClean, "-obj", "counter", "-seeds", "5", "-ops", "3")
 }
 
 // TestBrokenGolden: the broken strawman exits 1 and prints the violating
 // history (the negative control for the checker wiring).
 func TestBrokenGolden(t *testing.T) {
-	o := golden(t, "broken", exitViolation, "-obj", "broken", "-seeds", "5", "-ops", "2")
+	o := golden(t, "broken", harness.ExitViolation, "-obj", "broken", "-seeds", "5", "-ops", "2")
 	if !strings.Contains(o, "VIOLATION") || !strings.Contains(o, "history:") {
 		t.Errorf("violation output missing history:\n%s", o)
 	}
@@ -53,7 +55,7 @@ func TestBrokenGolden(t *testing.T) {
 // TestStuckGolden: a livelocking workload exits 2 with the watchdog's
 // structured report instead of a raw panic.
 func TestStuckGolden(t *testing.T) {
-	o := golden(t, "stuck", exitStuck, "-obj", "stuck", "-procs", "1", "-seeds", "5", "-ops", "1", "-rate", "0.2", "-awaitbudget", "500")
+	o := golden(t, "stuck", harness.ExitStuck, "-obj", "stuck", "-procs", "1", "-seeds", "5", "-ops", "1", "-rate", "0.2", "-awaitbudget", "500")
 	for _, want := range []string{"STUCK", "stuck report", "verdict:"} {
 		if !strings.Contains(o, want) {
 			t.Errorf("stuck output missing %q:\n%s", want, o)
@@ -63,14 +65,14 @@ func TestStuckGolden(t *testing.T) {
 
 func TestRunAllObjectsSmall(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-seeds", "3", "-ops", "3"}, &out, &errOut); code != exitClean {
+	if code := run([]string{"-seeds", "3", "-ops", "3"}, &out, &errOut); code != harness.ExitClean {
 		t.Errorf("run = exit %d\n%s%s", code, out.String(), errOut.String())
 	}
 }
 
 func TestRunSingleObjectVerbose(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-obj", "counter", "-seeds", "2", "-v"}, &out, &errOut); code != exitClean {
+	if code := run([]string{"-obj", "counter", "-seeds", "2", "-v"}, &out, &errOut); code != harness.ExitClean {
 		t.Errorf("run = exit %d", code)
 	}
 	if !strings.Contains(out.String(), "seed 0: ok") {
@@ -81,8 +83,8 @@ func TestRunSingleObjectVerbose(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-obj", "nope"}, {"-bogus"}} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != exitUsage {
-			t.Errorf("run(%v) = exit %d, want %d", args, code, exitUsage)
+		if code := run(args, &out, &errOut); code != harness.ExitUsage {
+			t.Errorf("run(%v) = exit %d, want %d", args, code, harness.ExitUsage)
 		}
 	}
 }

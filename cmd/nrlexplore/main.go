@@ -1,24 +1,23 @@
-// Command nrlexplore runs the bounded exhaustive model checker: for a
-// small configuration of a chosen object it enumerates EVERY controlled
+// Command nrlexplore runs the bounded exhaustive model checker on a
+// registry workload (internal/harness): two processes (or the count the
+// workload pins), one operation each, it enumerates EVERY controlled
 // schedule interleaved with EVERY crash placement (up to a crash budget)
 // and checks each execution for nesting-safe recoverable linearizability.
+// A broken workload — the Theorem 4 strawman among them — must fail.
 //
 // Usage:
 //
-//	nrlexplore [-obj register|cas|counter|strawman] [-crashes N] [-maxruns N]
+//	nrlexplore [-obj NAME] [-crashes N] [-maxruns N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"nrl/internal/core"
 	"nrl/internal/explore"
-	"nrl/internal/objects"
-	"nrl/internal/proc"
-	"nrl/internal/spec"
-	"nrl/internal/valency"
+	"nrl/internal/harness"
 )
 
 func main() {
@@ -29,27 +28,18 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("nrlexplore", flag.ContinueOnError)
-	obj := fs.String("obj", "register", "configuration: register, cas, counter or strawman")
-	crashes := fs.Int("crashes", 1, "crash budget per execution")
-	maxRuns := fs.Int("maxruns", 0, "bound the number of executions (0 = library default)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg, expectViolation, err := configFor(*obj)
+	w, cfg, err := config(args)
 	if err != nil {
 		return err
 	}
-	cfg.MaxCrashes = *crashes
-	cfg.MaxRuns = *maxRuns
 	stats, runErr := explore.Run(cfg)
 	fmt.Printf("%s: %d executions enumerated, %d crashes injected, max decision depth %d, complete=%v\n",
-		*obj, stats.Runs, stats.Crashes, stats.MaxDepth, stats.Complete)
-	if expectViolation {
+		w.Name, stats.Runs, stats.Crashes, stats.MaxDepth, stats.Complete)
+	if w.Broken {
 		if runErr == nil {
-			return fmt.Errorf("expected the strawman to violate NRL, but no violation was found")
+			return fmt.Errorf("expected the broken workload %s to fail, but every execution passed", w.Name)
 		}
-		fmt.Printf("violation found, as Theorem 4 predicts:\n%v\n", runErr)
+		fmt.Printf("failure found, as expected of a broken workload:\n%v\n", runErr)
 		return nil
 	}
 	if runErr != nil {
@@ -59,63 +49,23 @@ func run(args []string) error {
 	return nil
 }
 
-func configFor(obj string) (explore.Config, bool, error) {
-	switch obj {
-	case "register":
-		return explore.Config{
-			Procs: 2,
-			Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-				r := core.NewRegister(sys, "x", 0)
-				return map[int]func(*proc.Ctx){
-					1: func(c *proc.Ctx) { r.Write(c, core.Distinct(1, 1, 0)) },
-					2: func(c *proc.Ctx) { r.Write(c, core.Distinct(2, 1, 0)) },
-				}
-			},
-			Models: func(string) spec.Model { return spec.Register{} },
-		}, false, nil
-	case "cas":
-		return explore.Config{
-			Procs: 2,
-			Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-				o := core.NewCASObject(sys, "c")
-				return map[int]func(*proc.Ctx){
-					1: func(c *proc.Ctx) { o.CAS(c, 0, core.DistinctCAS(1, 1, 0)) },
-					2: func(c *proc.Ctx) { o.CAS(c, 0, core.DistinctCAS(2, 1, 0)) },
-				}
-			},
-			Models: func(string) spec.Model { return spec.CAS{} },
-		}, false, nil
-	case "counter":
-		return explore.Config{
-			Procs: 2,
-			Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-				ctr := objects.NewCounter(sys, "ctr")
-				return map[int]func(*proc.Ctx){
-					1: func(c *proc.Ctx) { ctr.Inc(c) },
-					2: func(c *proc.Ctx) { ctr.Inc(c) },
-				}
-			},
-			Models: func(obj string) spec.Model {
-				if obj == "ctr" {
-					return spec.Counter{}
-				}
-				return spec.Register{}
-			},
-			MaxRuns: 50000, // the full space is too large; DFS prefix
-		}, false, nil
-	case "strawman":
-		return explore.Config{
-			Procs: 2,
-			Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-				o := valency.NewRetryTAS(sys, "t")
-				return map[int]func(*proc.Ctx){
-					1: func(c *proc.Ctx) { o.TestAndSet(c) },
-					2: func(c *proc.Ctx) { o.TestAndSet(c) },
-				}
-			},
-			Models: func(string) spec.Model { return spec.TAS{} },
-		}, true, nil
-	default:
-		return explore.Config{}, false, fmt.Errorf("unknown configuration %q", obj)
+// config resolves the command line into the workload and its bounded
+// exploration.
+func config(args []string) (harness.Workload, explore.Config, error) {
+	names := strings.Join(harness.WorkloadNames(), ", ")
+	fs := flag.NewFlagSet("nrlexplore", flag.ContinueOnError)
+	obj := fs.String("obj", "register", "workload: "+names)
+	crashes := fs.Int("crashes", 1, "crash budget per execution")
+	maxRuns := fs.Int("maxruns", 150_000, "bound the number of executions (0 = 5,000,000)")
+	if err := fs.Parse(args); err != nil {
+		return harness.Workload{}, explore.Config{}, err
 	}
+	w, ok := harness.WorkloadByName(*obj)
+	if !ok {
+		return harness.Workload{}, explore.Config{}, fmt.Errorf("unknown workload %q (want %s)", *obj, names)
+	}
+	cfg := explore.ForWorkload(w)
+	cfg.MaxCrashes = *crashes
+	cfg.MaxRuns = *maxRuns
+	return w, cfg, nil
 }

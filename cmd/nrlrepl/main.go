@@ -29,14 +29,8 @@ import (
 	"io"
 	"os"
 
-	"nrl/internal/persist"
+	"nrl/internal/harness"
 	"nrl/internal/replica"
-)
-
-const (
-	exitClean     = 0
-	exitViolation = 1
-	exitUsage     = 3
 )
 
 func main() {
@@ -46,7 +40,7 @@ func main() {
 func run(args []string, out, errOut io.Writer) int {
 	if len(args) == 0 {
 		usage(errOut)
-		return exitUsage
+		return harness.ExitUsage
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -59,7 +53,7 @@ func run(args []string, out, errOut io.Writer) int {
 	default:
 		fmt.Fprintf(errOut, "nrlrepl: unknown command %q\n", cmd)
 		usage(errOut)
-		return exitUsage
+		return harness.ExitUsage
 	}
 }
 
@@ -106,49 +100,25 @@ type memberScan struct {
 }
 
 // scanSet scans every member read-only and marks the directory the next
-// election would pick: highest (epoch, prefix), lowest index breaking
-// ties — the same ranking replica.Open uses.
+// election would pick (replica.Scan).
 func scanSet(root string, replicas int) []memberScan {
-	scanOne := func(dir string) memberScan {
-		m := memberScan{Dir: dir}
-		rep, err := persist.ScanDir(dir)
-		if err != nil {
-			m.Err = err.Error()
-			return m
-		}
-		m.Epoch = rep.Epoch
-		m.Prefix = rep.Prefix
-		m.ManifestOK = rep.ManifestOK
-		m.Segments = rep.Segments
-		m.Records = rep.Records
-		m.PagesTorn = rep.PagesTorn
-		return m
-	}
-	dirs := replicaDirs(root, replicas)
+	dirs := replica.MemberDirs(root, replicas)
+	reps, errs, elect := replica.Scan(dirs)
 	ms := make([]memberScan, len(dirs))
-	best := -1
-	for i, d := range dirs {
-		ms[i] = scanOne(d)
-		if ms[i].Err != "" {
+	for i, rep := range reps {
+		ms[i] = memberScan{Dir: dirs[i], Elect: i == elect}
+		if errs[i] != nil {
+			ms[i].Err = errs[i].Error()
 			continue
 		}
-		if best < 0 || ms[i].Epoch > ms[best].Epoch ||
-			(ms[i].Epoch == ms[best].Epoch && ms[i].Prefix > ms[best].Prefix) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		ms[best].Elect = true
+		ms[i].Epoch = rep.Epoch
+		ms[i].Prefix = rep.Prefix
+		ms[i].ManifestOK = rep.ManifestOK
+		ms[i].Segments = rep.Segments
+		ms[i].Records = rep.Records
+		ms[i].PagesTorn = rep.PagesTorn
 	}
 	return ms
-}
-
-func replicaDirs(root string, n int) []string {
-	ds := make([]string, n)
-	for i := range ds {
-		ds[i] = fmt.Sprintf("%s/r%d", root, i)
-	}
-	return ds
 }
 
 // statusDoc is the JSON document of init and status.
@@ -180,25 +150,25 @@ func runInit(args []string, out, errOut io.Writer) int {
 	fs.SetOutput(errOut)
 	root, replicas := setFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return harness.ExitUsage
 	}
 	if !checkSetFlags(fs, errOut, *root, *replicas) {
-		return exitUsage
+		return harness.ExitUsage
 	}
 	// Opening the set creates every member directory, elects a leader,
 	// and attaches the followers; closing leaves a durable genesis store
 	// in each.
-	s, err := replica.Open(replica.Options{Dirs: replicaDirs(*root, *replicas)})
+	s, err := replica.Open(replica.Options{Dirs: replica.MemberDirs(*root, *replicas)})
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlrepl init:", err)
-		return exitUsage
+		return harness.ExitUsage
 	}
 	if err := s.Close(); err != nil {
 		fmt.Fprintln(errOut, "nrlrepl init:", err)
-		return exitUsage
+		return harness.ExitUsage
 	}
 	emit(out, statusFromScan(*root, *replicas))
-	return exitClean
+	return harness.ExitClean
 }
 
 func runStatus(args []string, out, errOut io.Writer) int {
@@ -206,13 +176,13 @@ func runStatus(args []string, out, errOut io.Writer) int {
 	fs.SetOutput(errOut)
 	root, replicas := setFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return harness.ExitUsage
 	}
 	if !checkSetFlags(fs, errOut, *root, *replicas) {
-		return exitUsage
+		return harness.ExitUsage
 	}
 	emit(out, statusFromScan(*root, *replicas))
-	return exitClean
+	return harness.ExitClean
 }
 
 // verifyDoc is the JSON document of verify: the live set status after a
@@ -228,15 +198,15 @@ func runVerify(args []string, out, errOut io.Writer) int {
 	fs.SetOutput(errOut)
 	root, replicas := setFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return harness.ExitUsage
 	}
 	if !checkSetFlags(fs, errOut, *root, *replicas) {
-		return exitUsage
+		return harness.ExitUsage
 	}
-	s, err := replica.Open(replica.Options{Dirs: replicaDirs(*root, *replicas)})
+	s, err := replica.Open(replica.Options{Dirs: replica.MemberDirs(*root, *replicas)})
 	if err != nil {
 		emit(out, verifyDoc{OK: false, Reason: err.Error()})
-		return exitViolation
+		return harness.ExitViolation
 	}
 	st := s.Status()
 	doc := verifyDoc{OK: true, Status: st}
@@ -261,7 +231,7 @@ func runVerify(args []string, out, errOut io.Writer) int {
 	}
 	emit(out, doc)
 	if !doc.OK {
-		return exitViolation
+		return harness.ExitViolation
 	}
-	return exitClean
+	return harness.ExitClean
 }

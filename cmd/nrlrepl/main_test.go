@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"nrl/internal/harness"
 )
 
 func mustJSON(t *testing.T, b []byte, v any) {
@@ -19,7 +21,7 @@ func TestInitStatusVerify(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "set")
 	var out, errOut bytes.Buffer
 
-	if code := run([]string{"init", "-root", root}, &out, &errOut); code != exitClean {
+	if code := run([]string{"init", "-root", root}, &out, &errOut); code != harness.ExitClean {
 		t.Fatalf("init exit %d: %s", code, errOut.String())
 	}
 	var st statusDoc
@@ -41,7 +43,7 @@ func TestInitStatusVerify(t *testing.T) {
 	}
 
 	out.Reset()
-	if code := run([]string{"status", "-root", root}, &out, &errOut); code != exitClean {
+	if code := run([]string{"status", "-root", root}, &out, &errOut); code != harness.ExitClean {
 		t.Fatalf("status exit %d: %s", code, errOut.String())
 	}
 	mustJSON(t, out.Bytes(), &st)
@@ -50,7 +52,7 @@ func TestInitStatusVerify(t *testing.T) {
 	}
 
 	out.Reset()
-	if code := run([]string{"verify", "-root", root}, &out, &errOut); code != exitClean {
+	if code := run([]string{"verify", "-root", root}, &out, &errOut); code != harness.ExitClean {
 		t.Fatalf("verify exit %d: %s", code, errOut.String())
 	}
 	var vd verifyDoc
@@ -68,14 +70,14 @@ func TestInitStatusVerify(t *testing.T) {
 func TestStatusSurvivesLostMember(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "set")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"init", "-root", root}, &out, &errOut); code != exitClean {
+	if code := run([]string{"init", "-root", root}, &out, &errOut); code != harness.ExitClean {
 		t.Fatalf("init exit %d: %s", code, errOut.String())
 	}
 	if err := os.RemoveAll(filepath.Join(root, "r2")); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if code := run([]string{"status", "-root", root}, &out, &errOut); code != exitClean {
+	if code := run([]string{"status", "-root", root}, &out, &errOut); code != harness.ExitClean {
 		t.Fatalf("status exit %d: %s", code, errOut.String())
 	}
 	var st statusDoc
@@ -88,7 +90,7 @@ func TestStatusSurvivesLostMember(t *testing.T) {
 	}
 	// Verify, by contrast, opens the set and heals the member back in.
 	out.Reset()
-	if code := run([]string{"verify", "-root", root}, &out, &errOut); code != exitClean {
+	if code := run([]string{"verify", "-root", root}, &out, &errOut); code != harness.ExitClean {
 		t.Fatalf("verify exit %d: %s", code, errOut.String())
 	}
 	var vd verifyDoc
@@ -107,8 +109,8 @@ func TestUsageErrors(t *testing.T) {
 		{"verify", "-root", "x", "-replicas", "0"},
 	} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != exitUsage {
-			t.Errorf("run(%v) exit %d, want %d", args, code, exitUsage)
+		if code := run(args, &out, &errOut); code != harness.ExitUsage {
+			t.Errorf("run(%v) exit %d, want %d", args, code, harness.ExitUsage)
 		}
 	}
 }

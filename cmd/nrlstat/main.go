@@ -10,16 +10,20 @@
 //
 // Usage:
 //
-//	nrlstat [-scenario counter|cas|stack|mixed|durable-log]
+//	nrlstat [-scenario NAME|durable-log]
 //	        [-procs N] [-ops N] [-rate R] [-maxcrashes N] [-seed S]
 //	        [-trace out.jsonl]
 //	nrlstat -from run.jsonl
 //	nrlstat forensics <store-dir | bbox-file>
 //	nrlstat serve [-addr host:port] [-procs N] [-ops N]
 //
-// serve runs the counter workload once with full instrumentation and
-// then keeps the live telemetry plane (/metrics, /healthz,
-// /debug/pprof/) up on -addr until killed.
+// NAME is any workload of the registry in internal/harness (counter,
+// cas, stack, mixed, ...), run on the proc model and NRL-checked at the
+// end; durable-log is the one scenario of its own.
+//
+// serve runs the registry's counter workload once with full
+// instrumentation and then keeps the live telemetry plane (/metrics,
+// /healthz, /debug/pprof/) up on -addr until killed.
 //
 // -from replays a previously captured JSONL event stream through the
 // same profile pipeline instead of running a workload; a final line
@@ -34,9 +38,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"nrl"
-	"nrl/internal/core"
 	"nrl/internal/durable"
 	"nrl/internal/harness"
 	"nrl/internal/nvm"
@@ -69,7 +73,7 @@ func run(args []string, w io.Writer) error {
 		return runServe(args[1:], w)
 	}
 	fs := flag.NewFlagSet("nrlstat", flag.ContinueOnError)
-	scenario := fs.String("scenario", "counter", "workload: counter, cas, stack, mixed or durable-log")
+	scenario := fs.String("scenario", "counter", "workload: "+strings.Join(harness.WorkloadNames(), ", ")+" or durable-log")
 	procs := fs.Int("procs", 3, "number of processes")
 	ops := fs.Int("ops", 200, "operations per process")
 	rate := fs.Float64("rate", 0.002, "crash probability per step")
@@ -86,7 +90,11 @@ func run(args []string, w io.Writer) error {
 	if *procs <= 0 || *ops <= 0 {
 		return fmt.Errorf("-procs and -ops must be positive")
 	}
-	cfg := config{procs: *procs, ops: *ops, rate: *rate, maxCrashes: *maxCrashes, seed: *seed}
+	load, ok := harness.WorkloadByName(*scenario)
+	if !ok && *scenario != "durable-log" {
+		return fmt.Errorf("unknown scenario %q", *scenario)
+	}
+	cfg := config{procs: load.Procs(*procs), ops: *ops, rate: *rate, maxCrashes: *maxCrashes, seed: *seed}
 
 	// Every event goes into a ring (profiled below); -trace additionally
 	// streams them to a file.
@@ -107,19 +115,10 @@ func run(args []string, w io.Writer) error {
 		raw   *nvm.StatsSnapshot // durable-log: counts of its untraced accesses
 		err   error
 	)
-	switch *scenario {
-	case "counter":
-		check, err = counterScenario(cfg, tracer)
-	case "cas":
-		check, err = casScenario(cfg, tracer)
-	case "stack":
-		check, err = stackScenario(cfg, tracer)
-	case "mixed":
-		check, err = mixedScenario(cfg, tracer)
-	case "durable-log":
+	if ok {
+		check, err = workloadScenario(load, cfg, tracer)
+	} else {
 		check, raw, err = durableLogScenario(cfg, tracer)
-	default:
-		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
 	if err != nil {
 		return err
@@ -148,26 +147,25 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// newSys builds the deterministic traced system every proc-model scenario
-// uses: controlled scheduler, seeded picker, seeded bounded crash
-// injector, history recorder.
-func newSys(cfg config, tracer trace.Tracer) (*nrl.System, *nrl.Recorder) {
+// workloadScenario runs a registry workload on the deterministic traced
+// system — controlled scheduler, seeded picker, seeded bounded crash
+// injector — and NRL-checks the recorded history against the workload's
+// models. The verdict is budgeted so a pathological history cannot hang
+// the stats pipeline; a windowed verdict is labelled as such.
+func workloadScenario(w harness.Workload, cfg config, tracer trace.Tracer) (string, error) {
 	rec := nrl.NewRecorder()
 	sys := nrl.NewSystem(nrl.Config{
-		Procs:     cfg.procs,
-		Recorder:  rec,
-		Injector:  &nrl.RandomCrash{Rate: cfg.rate, Seed: cfg.seed, MaxCrashes: cfg.maxCrashes},
-		Scheduler: nrl.NewControlled(nrl.RandomPicker(cfg.seed)),
-		Tracer:    tracer,
+		Procs:         cfg.procs,
+		Recorder:      rec,
+		Injector:      &nrl.RandomCrash{Rate: cfg.rate, Seed: cfg.seed, MaxCrashes: cfg.maxCrashes},
+		Scheduler:     nrl.NewControlled(nrl.RandomPicker(cfg.seed)),
+		Tracer:        tracer,
+		RecoverPanics: true,
 	})
-	return sys, rec
-}
-
-// checkNRL verifies the recorded history and returns the summary line.
-// The verdict is budgeted so a pathological history cannot hang the
-// stats pipeline; a windowed verdict is labelled as such.
-func checkNRL(rec *nrl.Recorder, models nrl.ModelFor) (string, error) {
-	violation, partial := nrl.CheckWindowed(models, rec.History(), nrl.DefaultCheckBudget)
+	if err := sys.Run(w.Build(sys, cfg.procs, cfg.ops)); err != nil {
+		return "", err
+	}
+	violation, partial := nrl.CheckWindowed(w.Models, rec.History(), nrl.DefaultCheckBudget)
 	if violation != nil {
 		return "", fmt.Errorf("NRL check failed: %w", violation)
 	}
@@ -175,98 +173,6 @@ func checkNRL(rec *nrl.Recorder, models nrl.ModelFor) (string, error) {
 		return "NRL check: ok (windowed prefix verdict; search budget hit)", nil
 	}
 	return "NRL check: ok", nil
-}
-
-func counterScenario(cfg config, tracer trace.Tracer) (string, error) {
-	sys, rec := newSys(cfg, tracer)
-	ctr := nrl.NewCounter(sys, "ctr")
-	bodies := map[int]func(*nrl.Ctx){}
-	for p := 1; p <= cfg.procs; p++ {
-		bodies[p] = func(c *nrl.Ctx) {
-			for i := 0; i < cfg.ops; i++ {
-				ctr.Inc(c)
-			}
-		}
-	}
-	if err := sys.Run(bodies); err != nil {
-		return "", err
-	}
-	if got, want := ctr.Read(sys.Proc(1).Ctx()), uint64(cfg.procs*cfg.ops); got != want {
-		return "", fmt.Errorf("final counter = %d, want %d", got, want)
-	}
-	return checkNRL(rec, nrl.Models(map[string]nrl.Model{"ctr": nrl.CounterModel{}}))
-}
-
-func casScenario(cfg config, tracer trace.Tracer) (string, error) {
-	sys, rec := newSys(cfg, tracer)
-	o := nrl.NewCASObject(sys, "cas")
-	bodies := map[int]func(*nrl.Ctx){}
-	for p := 1; p <= cfg.procs; p++ {
-		bodies[p] = func(c *nrl.Ctx) {
-			pid := c.P()
-			for i := 0; i < cfg.ops; i++ {
-				seq := uint32(i%core.MaxCASSeq) + 1
-				next := nrl.DistinctCAS(pid, seq, uint32(i))
-				for !o.CAS(c, o.Read(c), next) {
-				}
-			}
-		}
-	}
-	if err := sys.Run(bodies); err != nil {
-		return "", err
-	}
-	return checkNRL(rec, nrl.Models(map[string]nrl.Model{"cas": nrl.CASModel{}}))
-}
-
-func stackScenario(cfg config, tracer trace.Tracer) (string, error) {
-	sys, rec := newSys(cfg, tracer)
-	st := nrl.NewStack(sys, "st", cfg.procs*cfg.ops+16)
-	bodies := map[int]func(*nrl.Ctx){}
-	for p := 1; p <= cfg.procs; p++ {
-		bodies[p] = func(c *nrl.Ctx) {
-			pid := uint64(c.P())
-			for i := 0; i < cfg.ops; i++ {
-				st.Push(c, pid<<32|uint64(i)+1)
-				st.Pop(c)
-			}
-		}
-	}
-	if err := sys.Run(bodies); err != nil {
-		return "", err
-	}
-	return checkNRL(rec, nrl.Models(map[string]nrl.Model{"st": nrl.StackModel{}}))
-}
-
-func mixedScenario(cfg config, tracer trace.Tracer) (string, error) {
-	sys, rec := newSys(cfg, tracer)
-	ctr := nrl.NewCounter(sys, "ctr")
-	st := nrl.NewStack(sys, "st", cfg.procs*cfg.ops+16)
-	mx := nrl.NewMaxRegister(sys, "mx")
-	bodies := map[int]func(*nrl.Ctx){}
-	for p := 1; p <= cfg.procs; p++ {
-		bodies[p] = func(c *nrl.Ctx) {
-			pid := uint64(c.P())
-			for i := 0; i < cfg.ops; i++ {
-				switch i % 3 {
-				case 0:
-					ctr.Inc(c)
-				case 1:
-					st.Push(c, pid<<32|uint64(i)+1)
-					st.Pop(c)
-				case 2:
-					mx.WriteMax(c, uint64(i)+1)
-				}
-			}
-		}
-	}
-	if err := sys.Run(bodies); err != nil {
-		return "", err
-	}
-	return checkNRL(rec, nrl.Models(map[string]nrl.Model{
-		"ctr": nrl.CounterModel{},
-		"st":  nrl.StackModel{},
-		"mx":  nrl.MaxRegisterModel{},
-	}))
 }
 
 // durableLogScenario exercises the full-system-crash extension instead of

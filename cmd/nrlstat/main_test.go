@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"nrl/internal/flightrec"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nrl/internal/flightrec"
+	"nrl/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -41,10 +43,15 @@ func TestSummaryGoldens(t *testing.T) {
 	}
 }
 
-// TestAllScenariosRun exercises every scenario (small, to keep the
-// NRL-check search cheap) and sanity-checks the summary shape.
+// TestAllScenariosRun exercises every scenario — each non-broken
+// registry workload, and durable-log — small, to keep the NRL-check
+// search cheap, and sanity-checks the summary shape.
 func TestAllScenariosRun(t *testing.T) {
-	for _, s := range []string{"counter", "cas", "stack", "mixed", "durable-log"} {
+	var scenarios []string
+	for _, w := range harness.RealWorkloads() {
+		scenarios = append(scenarios, w.Name)
+	}
+	for _, s := range append(scenarios, "durable-log") {
 		t.Run(s, func(t *testing.T) {
 			var out bytes.Buffer
 			if err := run([]string{"-scenario", s, "-ops", "30", "-procs", "2"}, &out); err != nil {

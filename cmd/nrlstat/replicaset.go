@@ -7,13 +7,14 @@ import (
 	"path/filepath"
 
 	"nrl/internal/persist"
+	"nrl/internal/replica"
 )
 
 // isReplicaRoot reports whether dir looks like a replica-set root: a
 // directory whose members are the r0, r1, ... subdirectories a
 // replica.Set lays out.
 func isReplicaRoot(dir string) bool {
-	fi, err := os.Stat(filepath.Join(dir, "r0"))
+	fi, err := os.Stat(replica.MemberDirs(dir, 1)[0])
 	return err == nil && fi.IsDir()
 }
 
@@ -35,57 +36,38 @@ func replicaMembers(root string) []string {
 			}
 		}
 	}
-	names := make([]string, 0, max+1)
-	for i := 0; i <= max; i++ {
-		names = append(names, fmt.Sprintf("r%d", i))
-	}
-	return names
+	return replica.MemberDirs(root, max+1)
 }
 
 // runReplicaForensics reports a replica set's per-member durable
 // credentials and where each member's log diverges from the member the
 // next election would pick: the first sequence whose record fingerprint
 // differs, the stale suffix an epoch fence will wipe at rejoin.
-func runReplicaForensics(root string, names []string, w io.Writer) error {
-	type member struct {
-		name string
-		rep  persist.ScanReport
-		err  error
-	}
-	ms := make([]member, len(names))
-	best := -1
-	for i, name := range names {
-		rep, err := persist.ScanDir(filepath.Join(root, name))
-		ms[i] = member{name: name, rep: rep, err: err}
-		if err != nil {
-			continue
-		}
-		if best < 0 || rep.Epoch > ms[best].rep.Epoch ||
-			(rep.Epoch == ms[best].rep.Epoch && rep.Prefix > ms[best].rep.Prefix) {
-			best = i
-		}
-	}
-	fmt.Fprintf(w, "replica set %s: %d members, quorum %d\n\n", root, len(ms), len(ms)/2+1)
+func runReplicaForensics(root string, dirs []string, w io.Writer) error {
+	reps, errs, best := replica.Scan(dirs)
+	fmt.Fprintf(w, "replica set %s: %d members, quorum %d\n\n", root, len(dirs), len(dirs)/2+1)
 	if best < 0 {
 		fmt.Fprintln(w, "no member scans clean; nothing to elect")
-		for _, m := range ms {
-			fmt.Fprintf(w, "  %s: %v\n", m.name, m.err)
+		for i, d := range dirs {
+			fmt.Fprintf(w, "  %s: %v\n", filepath.Base(d), errs[i])
 		}
 		return nil
 	}
 
 	// Fingerprint index of the election winner, for divergence checks.
+	elect := reps[best]
 	ref := map[uint64]uint32{}
-	for _, rs := range ms[best].rep.RecSums {
+	for _, rs := range elect.RecSums {
 		ref[rs.Seq] = rs.Sum
 	}
 
 	fmt.Fprintf(w, "%-6s %-8s %6s %8s %8s %6s %10s %s\n",
 		"member", "role", "epoch", "prefix", "records", "torn", "divergence", "notes")
-	for i, m := range ms {
-		if m.err != nil {
+	for i, rep := range reps {
+		name := filepath.Base(dirs[i])
+		if errs[i] != nil {
 			fmt.Fprintf(w, "%-6s %-8s %6s %8s %8s %6s %10s scan failed: %v\n",
-				m.name, "-", "-", "-", "-", "-", "-", m.err)
+				name, "-", "-", "-", "-", "-", "-", errs[i])
 			continue
 		}
 		role := "follower"
@@ -95,29 +77,29 @@ func runReplicaForensics(root string, names []string, w io.Writer) error {
 		div := "-"
 		notes := ""
 		if i != best {
-			switch d := divergeAt(m.rep, ref); {
+			switch d := divergeAt(rep, ref); {
 			case d > 0:
 				div = fmt.Sprintf("seq %d", d)
 				notes = "suffix differs from electee; wiped at rejoin"
-			case m.rep.Epoch < ms[best].rep.Epoch:
+			case rep.Epoch < elect.Epoch:
 				notes = "stale epoch; catches up at rejoin"
-			case m.rep.Prefix < ms[best].rep.Prefix:
-				notes = fmt.Sprintf("behind by %d records", ms[best].rep.Prefix-m.rep.Prefix)
+			case rep.Prefix < elect.Prefix:
+				notes = fmt.Sprintf("behind by %d records", elect.Prefix-rep.Prefix)
 			}
 		}
-		if !m.rep.ManifestOK {
+		if !rep.ManifestOK {
 			if notes != "" {
 				notes += "; "
 			}
 			notes += "manifest damaged"
 		}
 		fmt.Fprintf(w, "%-6s %-8s %6d %8d %8d %6d %10s %s\n",
-			m.name, role, m.rep.Epoch, m.rep.Prefix, m.rep.Records, m.rep.PagesTorn, div, notes)
+			name, role, rep.Epoch, rep.Prefix, rep.Records, rep.PagesTorn, div, notes)
 	}
 
 	// The electee's flight recorder is the set's: the leader is the only
 	// writer. Decode it if present.
-	bbox := filepath.Join(root, ms[best].name, persist.BlackBoxName)
+	bbox := filepath.Join(dirs[best], persist.BlackBoxName)
 	if _, err := os.Stat(bbox); err == nil {
 		fmt.Fprintln(w)
 		return runForensics([]string{bbox}, w)

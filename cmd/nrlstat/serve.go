@@ -9,14 +9,15 @@ import (
 
 	"nrl"
 	"nrl/internal/flightrec"
+	"nrl/internal/harness"
 	"nrl/internal/telemetry"
 )
 
-// runServe is the serve subcommand: run the counter scenario once with
-// the always-on flight recorder and no tracer, then keep the telemetry
-// plane up on -addr until the process is killed. It exists for live
-// inspection and for CI's endpoint smoke test; the metrics document
-// reflects the completed workload.
+// runServe is the serve subcommand: run the registry's counter workload
+// once with the always-on flight recorder and no tracer, then keep the
+// telemetry plane up on -addr until the process is killed. It exists
+// for live inspection and for CI's endpoint smoke test; the metrics
+// document reflects the completed workload.
 func runServe(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("nrlstat serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address for the telemetry plane")
@@ -29,16 +30,8 @@ func runServe(args []string, w io.Writer) error {
 
 	frec := flightrec.NewRecorder(flightrec.Options{})
 	sys := nrl.NewSystem(nrl.Config{Procs: *procs, FlightRec: frec})
-	ctr := nrl.NewCounter(sys, "ctr")
-	bodies := map[int]func(*nrl.Ctx){}
-	for p := 1; p <= *procs; p++ {
-		bodies[p] = func(c *nrl.Ctx) {
-			for i := 0; i < *ops; i++ {
-				ctr.Inc(c)
-			}
-		}
-	}
-	if err := sys.Run(bodies); err != nil {
+	counter, _ := harness.WorkloadByName("counter")
+	if err := sys.Run(counter.Build(sys, *procs, *ops)); err != nil {
 		return err
 	}
 

@@ -26,14 +26,6 @@ import (
 	"nrl/internal/sweep"
 )
 
-// Exit codes (shared convention with nrlcheck and nrlchaos).
-const (
-	exitClean     = 0
-	exitViolation = 1
-	exitStuck     = 2
-	exitUsage     = 3
-)
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -49,19 +41,13 @@ func run(args []string, out, errOut io.Writer) int {
 	seed := fs.Int64("seed", 1, "controlled-scheduler seed")
 	awaitBudget := fs.Int("awaitbudget", 100_000, "await iterations before the watchdog declares a livelock")
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return harness.ExitUsage
 	}
 
-	var loads []harness.Workload
-	if *obj == "all" {
-		loads = harness.RealWorkloads()
-	} else {
-		w, ok := harness.WorkloadByName(*obj)
-		if !ok {
-			fmt.Fprintf(errOut, "nrlsweep: unknown workload %q (want %s)\n", *obj, harness.WorkloadUsage())
-			return exitUsage
-		}
-		loads = []harness.Workload{w}
+	loads, err := harness.Select(*obj)
+	if err != nil {
+		fmt.Fprintln(errOut, "nrlsweep:", err)
+		return harness.ExitUsage
 	}
 	for _, w := range loads {
 		w := w
@@ -81,12 +67,12 @@ func run(args []string, out, errOut io.Writer) int {
 		var se *proc.StuckError
 		if errors.As(err, &se) {
 			fmt.Fprintf(out, "%s: STUCK\n%s\n", w.Name, se.Report.String())
-			return exitStuck
+			return harness.ExitStuck
 		}
 		if err != nil {
 			fmt.Fprintf(out, "%s: VIOLATION\n%v\n", w.Name, err)
 			fmt.Fprintln(errOut, "nrlsweep:", w.Name, "failed")
-			return exitViolation
+			return harness.ExitViolation
 		}
 		fmt.Fprintf(out, "%-12s ok: %d crash points, %d runs, %d crashes injected", w.Name, stats.Points, stats.Runs, stats.Crashes)
 		if *deep {
@@ -94,5 +80,5 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		fmt.Fprintln(out, ", all NRL")
 	}
-	return exitClean
+	return harness.ExitClean
 }

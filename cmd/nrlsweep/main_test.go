@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nrl/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -39,13 +41,13 @@ func golden(t *testing.T, name string, wantCode int, args ...string) string {
 // counter: point and recovery-site counts are deterministic under the
 // seeded controlled scheduler.
 func TestCounterGolden(t *testing.T) {
-	golden(t, "counter", exitClean, "-obj", "counter", "-ops", "2", "-deep")
+	golden(t, "counter", harness.ExitClean, "-obj", "counter", "-ops", "2", "-deep")
 }
 
 // TestStuckGolden: a placement that livelocks recovery exits 2 with the
 // watchdog's structured report, never a raw panic.
 func TestStuckGolden(t *testing.T) {
-	o := golden(t, "stuck", exitStuck, "-obj", "stuck", "-ops", "1", "-awaitbudget", "500")
+	o := golden(t, "stuck", harness.ExitStuck, "-obj", "stuck", "-ops", "1", "-awaitbudget", "500")
 	for _, want := range []string{"STUCK", "stuck report", "verdict:"} {
 		if !strings.Contains(o, want) {
 			t.Errorf("stuck output missing %q:\n%s", want, o)
@@ -55,7 +57,7 @@ func TestStuckGolden(t *testing.T) {
 
 func TestRunAllSmall(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-ops", "1", "-double=false"}, &out, &errOut); code != exitClean {
+	if code := run([]string{"-ops", "1", "-double=false"}, &out, &errOut); code != harness.ExitClean {
 		t.Errorf("run = exit %d\n%s%s", code, out.String(), errOut.String())
 	}
 }
@@ -63,8 +65,8 @@ func TestRunAllSmall(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-obj", "nope"}, {"-bogus"}} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != exitUsage {
-			t.Errorf("run(%v) = exit %d, want %d", args, code, exitUsage)
+		if code := run(args, &out, &errOut); code != harness.ExitUsage {
+			t.Errorf("run(%v) = exit %d, want %d", args, code, harness.ExitUsage)
 		}
 	}
 }

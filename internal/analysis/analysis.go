@@ -141,7 +141,7 @@ const (
 	EvFlush                            // Flush/FlushAt
 	EvFence                            // Fence/FenceAt
 	EvPersist                          // Persist (flush+fence of one word)
-	EvPersistBuffered                  // persistBuffered(c, addrs...): flush each + fence
+	EvPersistBuffered                  // Ctx.PersistBuffered(addrs...): flush each + fence
 	EvHelper                           // summarized helper call: effects per flags
 )
 
@@ -229,15 +229,6 @@ func classify(info *types.Info, call *ast.CallExpr) *Event {
 		return nil
 	}
 	name := fn.Name()
-	// persistBuffered is the conforming flush-all-then-fence helper; it
-	// is matched by name so testdata and future packages can define
-	// their own copy (the repo convention: one per object package).
-	if fn.Type().(*types.Signature).Recv() == nil && name == "persistBuffered" {
-		if len(call.Args) < 1 {
-			return nil
-		}
-		return &Event{Kind: EvPersistBuffered, Call: call, Addrs: call.Args[1:], Pos: call.Pos()}
-	}
 	recv := recvNamed(fn)
 	if recv != memoryType && recv != ctxType {
 		return nil
@@ -270,6 +261,8 @@ func classify(info *types.Info, call *ast.CallExpr) *Event {
 		if a := arg0(); a != nil {
 			return ev(EvPersist, a)
 		}
+	case "PersistBuffered":
+		return ev(EvPersistBuffered, call.Args...)
 	}
 	return nil
 }

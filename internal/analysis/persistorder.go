@@ -10,7 +10,7 @@ import (
 //
 //   - flush-no-fence: a flushed address whose flush can reach a return
 //     without an intervening fence is not durable — the flush alone only
-//     schedules write-back. Persist/persistBuffered count as fenced, as
+//     schedules write-back. Persist/PersistBuffered count as fenced, as
 //     does a helper whose summary fences on all eventful paths.
 //   - missed-flush: within a function that persists an address at all,
 //     every store to that address must be followed by a flush of it on

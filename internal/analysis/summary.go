@@ -32,11 +32,11 @@ type summary struct {
 
 	// flushedParams are parameter indices whose address is flushed on
 	// every eventful path to return (eventless paths are mode guards —
-	// persistBuffered's ADR early return — and make no claim).
+	// Ctx.PersistBuffered's ADR early return — and make no claim).
 	flushedParams []int
 	// wroteParams are parameter indices the function may store to.
 	wroteParams []int
-	// flushesVariadic marks the persistBuffered shape: a range over the
+	// flushesVariadic marks the PersistBuffered shape: a range over the
 	// variadic address parameter flushing each element.
 	flushesVariadic bool
 	// fencesAll means every eventful path to return passes a fence.
@@ -378,8 +378,8 @@ func chain(first, rest string) string {
 }
 
 // classifyCalls maps a call to its discipline events: the intrinsic
-// nvm/Ctx/persistBuffered classification first, then the callee's
-// summary rendered as synthesized events at the call site — a store
+// nvm/Ctx classification first, then the callee's summary rendered as
+// synthesized events at the call site — a store
 // through a helper is a write of the argument, a helper that flushes
 // its address parameter on all eventful paths is a flush of the
 // argument, a fencing helper is a fence.
@@ -421,7 +421,7 @@ func classifyCalls(info *types.Info, prog *Program, call *ast.CallExpr) []*Event
 // onAllEventfulPaths reports whether every entry-to-exit path carrying
 // at least one discipline event also passes an event satisfying pred.
 // Eventless paths make no claim — they are mode guards, like
-// persistBuffered's ADR-mode early return.
+// Ctx.PersistBuffered's ADR-mode early return.
 func (be *blockEvents) onAllEventfulPaths(pred func(*Event) bool) bool {
 	type visit struct {
 		blk *cfg.Block

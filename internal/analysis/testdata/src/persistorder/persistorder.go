@@ -4,8 +4,8 @@ package persistorder
 
 import "nrl/internal/nvm"
 
-// persistBuffered mirrors the repo's per-package helper: flush every
-// address, then one fence. The analyzer recognises it by name.
+// persistBuffered has Ctx.PersistBuffered's shape: flush every address,
+// then one fence. The analyzer sees through it by its summary.
 func persistBuffered(m *nvm.Memory, addrs ...nvm.Addr) {
 	for _, a := range addrs {
 		m.Flush(a)

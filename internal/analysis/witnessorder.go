@@ -18,7 +18,7 @@ import (
 //
 // `A // nrl:persist-before B(kind)` means: within any function, a store
 // to an address rooted at field A must be persisted (Flush+Fence,
-// Persist, or persistBuffered) before any operation of the given kind
+// Persist, or Ctx.PersistBuffered) before any operation of the given kind
 // (write, cas, or any) touches field B on any path. Matching is at field
 // granularity, so per-element addresses (val[idx]) are covered.
 //

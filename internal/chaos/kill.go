@@ -114,16 +114,6 @@ type KillWorkerConfig struct {
 	Verify bool
 }
 
-// ReplicaDirs returns the member directories of a replica-set root, in
-// index order: root/r0 .. root/r{n-1}.
-func ReplicaDirs(root string, n int) []string {
-	ds := make([]string, n)
-	for i := range ds {
-		ds[i] = filepath.Join(root, fmt.Sprintf("r%d", i))
-	}
-	return ds
-}
-
 // RunKillWorker runs one incarnation of the kill-harness workload,
 // writing its line protocol to out:
 //
@@ -151,7 +141,7 @@ func ReplicaDirs(root string, n int) []string {
 // never panics on storage failure; that is the point.
 func RunKillWorker(cfg KillWorkerConfig, out io.Writer) int {
 	hook := func(p nvm.Phase) { fmt.Fprintf(out, "phase %s\n", p) }
-	dirs := ReplicaDirs(cfg.Root, cfg.Replicas)
+	dirs := replica.MemberDirs(cfg.Root, cfg.Replicas)
 	frec := flightrec.NewRecorder(flightrec.Options{Slots: flightrec.DefaultSlots, Deep: true})
 	var armed atomic.Bool
 	if cfg.FaultDir >= 0 && cfg.FaultAfter <= 0 {
@@ -573,7 +563,7 @@ func RunKillCampaign(cfg KillConfig) (*KillResult, error) {
 			MaxDelayUS: cfg.MaxKillDelay.Microseconds(),
 		}},
 	}
-	dirs := ReplicaDirs(cfg.Root, cfg.Replicas)
+	dirs := replica.MemberDirs(cfg.Root, cfg.Replicas)
 	var acked uint64 // high-water mark of acknowledged appends
 	leaderAt := 0    // serving directory index as of the last report
 

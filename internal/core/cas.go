@@ -158,7 +158,7 @@ func (o *casOp) Exec(c *proc.Ctx, line int) uint64 {
 			c.Step(7)
 			if c.CAS(o.obj.c, pair, packC(p, new)) {
 				ret = 1
-				persistBuffered(c, o.obj.c)
+				c.PersistBuffered(o.obj.c)
 			} else {
 				ret = 0
 			}
@@ -277,7 +277,7 @@ func (o *strictCASOp) Exec(c *proc.Ctx, line int) uint64 {
 		case 40:
 			c.Step(40)
 			c.Write(o.obj.resValid[p], 0)
-			persistBuffered(c, o.obj.resValid[p])
+			c.PersistBuffered(o.obj.resValid[p])
 			line = 41
 		case 41:
 			c.Step(41)
@@ -302,7 +302,7 @@ func (o *strictCASOp) Exec(c *proc.Ctx, line int) uint64 {
 			c.Step(45)
 			if c.CAS(o.obj.c, pair, packC(p, new)) {
 				ret = 1
-				persistBuffered(c, o.obj.c)
+				c.PersistBuffered(o.obj.c)
 			} else {
 				ret = 0
 			}
@@ -310,12 +310,12 @@ func (o *strictCASOp) Exec(c *proc.Ctx, line int) uint64 {
 		case 47:
 			c.Step(47)
 			c.Write(o.obj.resVal[p], ret)
-			persistBuffered(c, o.obj.resVal[p])
+			c.PersistBuffered(o.obj.resVal[p])
 			line = 48
 		case 48:
 			c.Step(48)
 			c.Write(o.obj.resValid[p], 1)
-			persistBuffered(c, o.obj.resValid[p])
+			c.PersistBuffered(o.obj.resValid[p])
 			line = 49
 		case 49:
 			c.Step(49)

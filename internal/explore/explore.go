@@ -23,6 +23,7 @@ package explore
 import (
 	"fmt"
 
+	"nrl/internal/harness"
 	"nrl/internal/history"
 	"nrl/internal/linearize"
 	"nrl/internal/proc"
@@ -48,6 +49,21 @@ type Config struct {
 	MaxRuns int
 	// Invariant, if non-nil, is checked after every execution.
 	Invariant func(sys *proc.System, h history.History) error
+}
+
+// ForWorkload is the bounded configuration of a registry workload:
+// two processes (or the count the workload pins), one operation each,
+// checked against the workload's models. The crash budget and run cap
+// are the caller's.
+func ForWorkload(w harness.Workload) Config {
+	procs := w.Procs(2)
+	return Config{
+		Procs: procs,
+		Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
+			return w.Build(sys, procs, 1)
+		},
+		Models: w.Models,
+	}
 }
 
 // Stats reports what an exploration covered.

@@ -7,45 +7,42 @@ import (
 	"testing"
 
 	"nrl/internal/core"
+	"nrl/internal/harness"
 	"nrl/internal/history"
 	"nrl/internal/linearize"
 	"nrl/internal/nvm"
-	"nrl/internal/objects"
 	"nrl/internal/proc"
 	"nrl/internal/spec"
-	"nrl/internal/universal"
-	"nrl/internal/valency"
 )
 
 func regModels() linearize.ModelFor {
 	return func(obj string) spec.Model { return spec.Register{} }
 }
 
+// registry is the exploration cmd/nrlexplore runs for the named registry
+// workload, with the given crash budget.
+func registry(t *testing.T, name string, crashes int) Config {
+	t.Helper()
+	w, ok := harness.WorkloadByName(name)
+	if !ok {
+		t.Fatalf("no registry workload %q", name)
+	}
+	cfg := ForWorkload(w)
+	cfg.MaxCrashes = crashes
+	return cfg
+}
+
 // TestExhaustiveRegisterWrites enumerates every interleaving of two
 // recoverable WRITEs with every placement of up to one crash, checking
 // NRL on each execution. This machine-checks the paper's Lemma 2 for the
-// bounded configuration.
+// bounded configuration; the count is the one EXPERIMENTS.md reports.
 func TestExhaustiveRegisterWrites(t *testing.T) {
-	stats, err := Run(Config{
-		Procs: 2,
-		Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-			r := core.NewRegister(sys, "x", 0)
-			return map[int]func(*proc.Ctx){
-				1: func(c *proc.Ctx) { r.Write(c, core.Distinct(1, 1, 0)) },
-				2: func(c *proc.Ctx) { r.Write(c, core.Distinct(2, 1, 0)) },
-			}
-		},
-		Models:     regModels(),
-		MaxCrashes: 1,
-	})
+	stats, err := Run(registry(t, "register", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Complete {
-		t.Error("exploration did not complete")
-	}
-	if stats.Runs < 1000 {
-		t.Errorf("suspiciously small space: %d runs", stats.Runs)
+	if !stats.Complete || stats.Runs != 62732 {
+		t.Errorf("%d executions, complete=%v; want 62732, complete", stats.Runs, stats.Complete)
 	}
 	if stats.Crashes == 0 {
 		t.Error("no crashes explored")
@@ -80,27 +77,15 @@ func TestExhaustiveRegisterWriteRead(t *testing.T) {
 
 // TestExhaustiveCAS enumerates two competing CAS(0,·) operations with up
 // to one crash: Lemma 3 for the bounded configuration, including the
-// helping-matrix recovery paths.
+// helping-matrix recovery paths. The count is the one EXPERIMENTS.md
+// reports.
 func TestExhaustiveCAS(t *testing.T) {
-	v1 := core.DistinctCAS(1, 1, 0)
-	v2 := core.DistinctCAS(2, 1, 0)
-	stats, err := Run(Config{
-		Procs: 2,
-		Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-			o := core.NewCASObject(sys, "c")
-			return map[int]func(*proc.Ctx){
-				1: func(c *proc.Ctx) { o.CAS(c, 0, v1) },
-				2: func(c *proc.Ctx) { o.CAS(c, 0, v2) },
-			}
-		},
-		Models:     func(string) spec.Model { return spec.CAS{} },
-		MaxCrashes: 1,
-	})
+	stats, err := Run(registry(t, "cas", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Complete {
-		t.Error("exploration did not complete")
+	if !stats.Complete || stats.Runs != 127980 {
+		t.Errorf("%d executions, complete=%v; want 127980, complete", stats.Runs, stats.Complete)
 	}
 	t.Logf("CAS 2x CAS(0,.): %d executions, %d crashes", stats.Runs, stats.Crashes)
 }
@@ -131,50 +116,28 @@ func TestExhaustiveCASSecondOp(t *testing.T) {
 	t.Logf("CAS chained: %d executions", stats.Runs)
 }
 
-// TestExhaustiveTASTwoProcs enumerates the full two-process TAS space
-// with up to one crash, including the blocking recovery paths (the await
-// loops stay bounded because the explorer eventually schedules the other
-// process on every branch... except branches that starve it, which are
-// cut by MaxDecisions). A unique winner must emerge in every execution.
+// TestExhaustiveCounterInc explores two concurrent INCs of Algorithm 4's
+// counter with up to one crash. The full space is too large to
+// enumerate exhaustively (the operations nest recoverable register
+// reads and writes), so MaxRuns bounds the search to a DFS prefix of
+// the space: still tens of thousands of distinct executions, each
+// checked for NRL and for exactly-once increments.
 func TestExhaustiveCounterInc(t *testing.T) {
-	// The full two-INC space is too large to enumerate exhaustively (the
-	// operations nest recoverable register reads and writes), so this
-	// bounds the search by MaxRuns: a DFS prefix of the space, still tens
-	// of thousands of distinct executions, each checked for NRL and for
-	// exactly-once increments.
-	stats, err := Run(Config{
-		Procs: 2,
-		Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-			ctr := objects.NewCounter(sys, "ctr")
-			return map[int]func(*proc.Ctx){
-				1: func(c *proc.Ctx) { ctr.Inc(c) },
-				2: func(c *proc.Ctx) { ctr.Inc(c) },
+	cfg := registry(t, "counter", 1)
+	cfg.MaxRuns = 30000
+	cfg.Invariant = func(sys *proc.System, h history.History) error {
+		incs := 0
+		for _, s := range h.Steps {
+			if s.Kind == history.Res && s.Obj == "ctr" && s.Op == "INC" {
+				incs++
 			}
-		},
-		Models: func(obj string) spec.Model {
-			if obj == "ctr" {
-				return spec.Counter{}
-			}
-			return spec.Register{}
-		},
-		MaxCrashes: 1,
-		MaxRuns:    30000,
-		Invariant: func(sys *proc.System, h history.History) error {
-			// Count completed INCs in the history and compare with the
-			// final counter value read directly from NVRAM-backed
-			// registers via a fresh read by process 1.
-			incs := 0
-			for _, s := range h.Steps {
-				if s.Kind == history.Res && s.Obj == "ctr" && s.Op == "INC" {
-					incs++
-				}
-			}
-			if incs != 2 {
-				return fmt.Errorf("completed %d INCs, want 2", incs)
-			}
-			return nil
-		},
-	})
+		}
+		if incs != 2 {
+			return fmt.Errorf("completed %d INCs, want 2", incs)
+		}
+		return nil
+	}
+	stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,18 +151,7 @@ func TestExhaustiveCounterInc(t *testing.T) {
 // explorer must discover the Theorem 4 strawman's NRL violation without
 // being told the failing schedule.
 func TestExplorerFindsStrawmanViolation(t *testing.T) {
-	stats, err := Run(Config{
-		Procs: 2,
-		Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-			o := valency.NewRetryTAS(sys, "t")
-			return map[int]func(*proc.Ctx){
-				1: func(c *proc.Ctx) { o.TestAndSet(c) },
-				2: func(c *proc.Ctx) { o.TestAndSet(c) },
-			}
-		},
-		Models:     func(string) spec.Model { return spec.TAS{} },
-		MaxCrashes: 1,
-	})
+	stats, err := Run(registry(t, "strawman", 1))
 	if err == nil {
 		t.Fatalf("explorer found no violation in %d runs; the wait-free-recovery strawman should fail", stats.Runs)
 	}
@@ -307,19 +259,9 @@ func TestEngineVariableDepth(t *testing.T) {
 // crash budget of two (crash-during-recovery placements included),
 // bounded by MaxRuns.
 func TestExhaustiveRegisterTwoCrashes(t *testing.T) {
-	stats, err := Run(Config{
-		Procs: 2,
-		Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-			r := core.NewRegister(sys, "x", 0)
-			return map[int]func(*proc.Ctx){
-				1: func(c *proc.Ctx) { r.Write(c, core.Distinct(1, 1, 0)) },
-				2: func(c *proc.Ctx) { r.Write(c, core.Distinct(2, 1, 0)) },
-			}
-		},
-		Models:     regModels(),
-		MaxCrashes: 2,
-		MaxRuns:    120000,
-	})
+	cfg := registry(t, "register", 2)
+	cfg.MaxRuns = 120000
+	stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,31 +276,21 @@ func TestExhaustiveRegisterTwoCrashes(t *testing.T) {
 // one crash — every enumerated execution must satisfy NRL and complete
 // both increments.
 func TestExploreWaitFreeUniversal(t *testing.T) {
-	stats, err := Run(Config{
-		Procs: 2,
-		Build: func(sys *proc.System) map[int]func(*proc.Ctx) {
-			u := universal.NewWaitFree(sys, "u", spec.Counter{}, 64, []string{"INC"})
-			return map[int]func(*proc.Ctx){
-				1: func(c *proc.Ctx) { u.Invoke(c, "INC") },
-				2: func(c *proc.Ctx) { u.Invoke(c, "INC") },
+	cfg := registry(t, "wf-universal", 1)
+	cfg.MaxRuns = 25000
+	cfg.Invariant = func(sys *proc.System, h history.History) error {
+		incs := 0
+		for _, s := range h.Steps {
+			if s.Kind == history.Res && s.Op == "INC" {
+				incs++
 			}
-		},
-		Models: func(obj string) spec.Model { return spec.Counter{} },
-		Invariant: func(sys *proc.System, h history.History) error {
-			incs := 0
-			for _, s := range h.Steps {
-				if s.Kind == history.Res && s.Op == "INC" {
-					incs++
-				}
-			}
-			if incs != 2 {
-				return fmt.Errorf("completed %d INCs, want 2", incs)
-			}
-			return nil
-		},
-		MaxCrashes: 1,
-		MaxRuns:    25000,
-	})
+		}
+		if incs != 2 {
+			return fmt.Errorf("completed %d INCs, want 2", incs)
+		}
+		return nil
+	}
+	stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

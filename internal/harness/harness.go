@@ -1,13 +1,24 @@
-// Package harness holds the named checkable workloads shared by
-// cmd/nrlcheck, cmd/nrlsweep and cmd/nrlchaos, and the plain-text
-// Table the CLIs print: nrlstat's profile tables and nrlbench's
-// experiment tables, whose rows internal/bench measures.
+// Package harness holds what the command-line front ends share: the
+// registry of named checkable workloads every proc-model front end
+// resolves its workload names through, the exit codes of the checking
+// front ends, and the plain-text Table the CLIs print (nrlstat's
+// profile tables and nrlbench's experiment tables, whose rows
+// internal/bench measures).
 package harness
 
 import (
 	"fmt"
 	"io"
 	"strings"
+)
+
+// Exit codes of the checking front ends (nrlcheck, nrlsweep, nrlchaos,
+// nrlrepl).
+const (
+	ExitClean     = 0 // every check passed
+	ExitViolation = 1 // a check failed: an NRL violation, a degraded set
+	ExitStuck     = 2 // a run livelocked, and nothing failed outright
+	ExitUsage     = 3 // bad flags, or input that cannot be read
 )
 
 // Table is a rendered experiment result.

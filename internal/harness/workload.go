@@ -12,13 +12,15 @@ import (
 	"nrl/internal/rme"
 	"nrl/internal/spec"
 	"nrl/internal/universal"
+	"nrl/internal/valency"
 )
 
 // Workload is one named checkable workload: it builds an object under
 // test inside a fresh system, hands every process a body, and wires the
-// models the NRL checker needs. The same registry backs cmd/nrlcheck,
-// cmd/nrlsweep and the chaos campaigns of cmd/nrlchaos, so a workload
-// name means the same thing everywhere.
+// models the NRL checker needs. The same registry backs every front end
+// that drives the proc model — cmd/nrlcheck, cmd/nrlsweep, the chaos
+// campaigns of cmd/nrlchaos, cmd/nrlexplore and cmd/nrlstat — so a
+// workload name means the same thing everywhere.
 type Workload struct {
 	Name string
 	// FixedProcs pins the process count (0 = caller's choice). The broken
@@ -71,6 +73,19 @@ func WorkloadUsage() string {
 	return strings.Join(WorkloadNames(), ", ") + " or all (every non-broken workload)"
 }
 
+// Select resolves a NAME|all workload flag: one named workload, or
+// every non-broken one for "all".
+func Select(name string) ([]Workload, error) {
+	if name == "all" {
+		return RealWorkloads(), nil
+	}
+	w, ok := WorkloadByName(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q (want %s)", name, WorkloadUsage())
+	}
+	return []Workload{w}, nil
+}
+
 // RealWorkloads returns the non-broken workloads in name order ("all").
 func RealWorkloads() []Workload {
 	var out []Workload
@@ -94,6 +109,14 @@ func uniform(procs int, body func(*proc.Ctx)) map[int]func(*proc.Ctx) {
 func explicit(m map[string]spec.Model) linearize.ModelFor {
 	return linearize.ConventionModels(m)
 }
+
+// cells sizes an arena-backed object (stack, queue, universal log) for
+// procs × ops loop iterations. Stack and queue take a cell per push or
+// enqueue, at most one an iteration; the universal constructions log
+// every operation, 1.5 an iteration. A crash can also leak the cell of
+// the operation it interrupts, whose recovery takes a fresh one, so
+// twice the iterations plus a fixed margin covers both.
+func cells(procs, ops int) int { return 2*procs*ops + 64 }
 
 var workloads = map[string]Workload{
 	"counter": {
@@ -133,9 +156,12 @@ var workloads = map[string]Workload{
 		Build: func(sys *proc.System, procs, ops int) map[int]func(*proc.Ctx) {
 			o := core.NewCASObject(sys, "cas")
 			return uniform(procs, func(c *proc.Ctx) {
+				var cur uint64 // the first CAS is from the initial 0, unread
 				for i := 0; i < ops; i++ {
-					cur := o.Read(c)
-					o.CAS(c, cur, core.DistinctCAS(c.P(), uint32(i+1), uint32(i)))
+					if i > 0 {
+						cur = o.Read(c)
+					}
+					o.CAS(c, cur, core.DistinctCAS(c.P(), uint32(i%core.MaxCASSeq)+1, uint32(i)))
 				}
 			})
 		},
@@ -175,11 +201,35 @@ var workloads = map[string]Workload{
 			})
 		},
 	},
+	"mixed": {
+		Name: "mixed",
+		Models: explicit(map[string]spec.Model{
+			"ctr": spec.Counter{}, "st": spec.Stack{}, "mx": spec.MaxRegister{},
+		}),
+		Build: func(sys *proc.System, procs, ops int) map[int]func(*proc.Ctx) {
+			ctr := objects.NewCounter(sys, "ctr")
+			st := objects.NewStack(sys, "st", cells(procs, ops))
+			mx := objects.NewMaxRegister(sys, "mx")
+			return uniform(procs, func(c *proc.Ctx) {
+				for i := 0; i < ops; i++ {
+					switch i % 3 {
+					case 0:
+						ctr.Inc(c)
+					case 1:
+						st.Push(c, uint64(c.P())<<32|uint64(i)+1)
+						st.Pop(c)
+					case 2:
+						mx.WriteMax(c, uint64(i)+1)
+					}
+				}
+			})
+		},
+	},
 	"stack": {
 		Name:   "stack",
 		Models: explicit(map[string]spec.Model{"stk": spec.Stack{}}),
 		Build: func(sys *proc.System, procs, ops int) map[int]func(*proc.Ctx) {
-			s := objects.NewStack(sys, "stk", 4096)
+			s := objects.NewStack(sys, "stk", cells(procs, ops))
 			return uniform(procs, func(c *proc.Ctx) {
 				for i := 0; i < ops; i++ {
 					s.Push(c, uint64(c.P()*1000+i))
@@ -194,7 +244,7 @@ var workloads = map[string]Workload{
 		Name:   "queue",
 		Models: explicit(map[string]spec.Model{"q": spec.Queue{}}),
 		Build: func(sys *proc.System, procs, ops int) map[int]func(*proc.Ctx) {
-			q := objects.NewQueue(sys, "q", 4096)
+			q := objects.NewQueue(sys, "q", cells(procs, ops))
 			return uniform(procs, func(c *proc.Ctx) {
 				for i := 0; i < ops; i++ {
 					q.Enqueue(c, uint64(c.P()*1000+i))
@@ -222,7 +272,7 @@ var workloads = map[string]Workload{
 		Name:   "universal",
 		Models: explicit(map[string]spec.Model{"u": spec.Queue{}}),
 		Build: func(sys *proc.System, procs, ops int) map[int]func(*proc.Ctx) {
-			u := universal.New(sys, "u", spec.Queue{}, 4096, []string{"ENQ", "DEQ"})
+			u := universal.New(sys, "u", spec.Queue{}, cells(procs, ops), []string{"ENQ", "DEQ"})
 			return uniform(procs, func(c *proc.Ctx) {
 				for i := 0; i < ops; i++ {
 					u.Invoke(c, "ENQ", uint64(c.P()*1000+i))
@@ -237,7 +287,7 @@ var workloads = map[string]Workload{
 		Name:   "wf-universal",
 		Models: explicit(map[string]spec.Model{"w": spec.Counter{}}),
 		Build: func(sys *proc.System, procs, ops int) map[int]func(*proc.Ctx) {
-			u := universal.NewWaitFree(sys, "w", spec.Counter{}, 4096, []string{"INC", "READ"})
+			u := universal.NewWaitFree(sys, "w", spec.Counter{}, cells(procs, ops), []string{"INC", "READ"})
 			return uniform(procs, func(c *proc.Ctx) {
 				for i := 0; i < ops; i++ {
 					u.Invoke(c, "INC")
@@ -261,6 +311,18 @@ var workloads = map[string]Workload{
 					ctr.Read(c)
 				}
 			})
+		},
+	},
+	"strawman": {
+		// Theorem 4's wait-free-recovery test-and-set: recovery re-executes
+		// the primitive, so a crash after both processes applied it can
+		// hand out a second win.
+		Name:   "strawman",
+		Broken: true,
+		Models: explicit(map[string]spec.Model{"t": spec.TAS{}}),
+		Build: func(sys *proc.System, procs, ops int) map[int]func(*proc.Ctx) {
+			o := valency.NewRetryTAS(sys, "t")
+			return uniform(procs, func(c *proc.Ctx) { o.TestAndSet(c) })
 		},
 	},
 	"stuck": {

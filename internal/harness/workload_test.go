@@ -64,12 +64,39 @@ func TestWorkloadNames(t *testing.T) {
 	if len(names) != len(workloads) {
 		t.Fatalf("%d names for %d workloads", len(names), len(workloads))
 	}
-	if names[len(names)-2] != "broken" || names[len(names)-1] != "stuck" {
-		t.Errorf("strawmen not last: %v", names)
+	real := RealWorkloads()
+	for i, n := range names {
+		if broken := i >= len(real); workloads[n].Broken != broken {
+			t.Errorf("strawmen not last: %v", names)
+			break
+		}
 	}
-	for _, w := range RealWorkloads() {
+	for _, w := range real {
 		if w.Broken {
 			t.Errorf("RealWorkloads includes broken %q", w.Name)
 		}
+	}
+}
+
+// TestWorkloadCapacity: the arena-backed workloads size their objects
+// from procs × ops, so a crash-free run allocating more than 4,096
+// cells — the fixed size they once had — completes with no process
+// failure. Stack and queue allocate a cell per iteration; the universal
+// constructions log every operation, 1.5 per iteration.
+func TestWorkloadCapacity(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ops  int
+	}{{"stack", 2049}, {"queue", 2049}, {"universal", 1366}, {"wf-universal", 1366}} {
+		t.Run(c.name, func(t *testing.T) {
+			w, _ := WorkloadByName(c.name)
+			sys := proc.NewSystem(proc.Config{Procs: 2, RecoverPanics: true})
+			if err := sys.Run(w.Build(sys, 2, c.ops)); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if f := sys.Failures(); len(f) != 0 {
+				t.Fatalf("process failures: %v", f)
+			}
+		})
 	}
 }

@@ -160,7 +160,7 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 		case 2:
 			c.Step(2)
 			c.Write(o.obj.mine[p], idx)
-			persistBuffered(c, o.obj.mine[p])
+			c.PersistBuffered(o.obj.mine[p])
 			line = 3
 		case 3:
 			c.Step(3)
@@ -170,7 +170,7 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 			// The cell's contents must be durable before the link at
 			// line 8 can make it reachable: a power failure must never
 			// expose a linked cell with unpersisted value.
-			persistBuffered(c, o.obj.val[idx], o.obj.next[idx])
+			c.PersistBuffered(o.obj.val[idx], o.obj.next[idx])
 			line = 4
 		case 4:
 			c.Step(4)
@@ -190,7 +190,7 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 		case 7:
 			c.Step(7)
 			c.Write(o.obj.vict[p], queueIdx(t)) // LinkTarget_p
-			persistBuffered(c, o.obj.vict[p])
+			c.PersistBuffered(o.obj.vict[p])
 			c.Step(8)
 			ok := c.CAS(o.obj.next[queueIdx(t)], nilIdx, idx)
 			c.Step(9)
@@ -201,7 +201,7 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 			// The link is the linearization point: persist it before
 			// acknowledging, or a power failure would unlinearize a
 			// completed enqueue.
-			persistBuffered(c, o.obj.next[queueIdx(t)])
+			c.PersistBuffered(o.obj.next[queueIdx(t)])
 			c.Step(10)
 			c.Invoke(o.obj.tail.CASOp(), t, o.obj.nextTag(c, p, idx))
 			c.Step(11)
@@ -247,7 +247,7 @@ func (o *Queue) nextTag(c *proc.Ctx, p int, idx uint64) uint64 {
 	// Persist the counter before the tag can be installed, so a power
 	// failure cannot roll it back and let a later incarnation reuse a
 	// tag (Algorithm 2 requires installed values to be distinct).
-	persistBuffered(c, o.seq[p])
+	c.PersistBuffered(o.seq[p])
 	return faaPack(p, s, idx)
 }
 
@@ -300,7 +300,7 @@ func (o *queueDeq) Exec(c *proc.Ctx, line int) uint64 {
 		case 4:
 			c.Step(4)
 			c.Write(o.obj.vict[p], nxt)
-			persistBuffered(c, o.obj.vict[p])
+			c.PersistBuffered(o.obj.vict[p])
 			c.Step(5)
 			ok := c.Invoke(o.obj.head.StrictCASOp(), h, o.obj.nextTag(c, p, nxt))
 			c.Step(6)

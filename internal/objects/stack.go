@@ -117,7 +117,7 @@ func (o *Stack) nextTag(c *proc.Ctx, p int, idx uint64) uint64 {
 	// Persist the counter before the tag can be installed, so a power
 	// failure cannot roll it back and let a later incarnation reuse a
 	// tag (Algorithm 2 requires installed values to be distinct).
-	persistBuffered(c, o.seq[p])
+	c.PersistBuffered(o.seq[p])
 	return faaPack(p, s, idx)
 }
 
@@ -165,7 +165,7 @@ func (o *stackPush) Exec(c *proc.Ctx, line int) uint64 {
 		case 3:
 			c.Step(3)
 			c.Write(o.obj.mine[p], idx)
-			persistBuffered(c, o.obj.mine[p])
+			c.PersistBuffered(o.obj.mine[p])
 			line = 4
 		case 4:
 			c.Step(4)
@@ -173,7 +173,7 @@ func (o *stackPush) Exec(c *proc.Ctx, line int) uint64 {
 			c.Write(o.obj.val[idx], v)
 			// The cell's value must be durable before TOP can make it
 			// reachable at line 8.
-			persistBuffered(c, o.obj.val[idx])
+			c.PersistBuffered(o.obj.val[idx])
 			line = 5
 		case 5:
 			c.Step(5)
@@ -185,7 +185,7 @@ func (o *stackPush) Exec(c *proc.Ctx, line int) uint64 {
 			c.Write(o.obj.next[idx], topIdx(top))
 			// Likewise the next-link: a power failure between the TOP
 			// install and a lagging link persist would tear the list.
-			persistBuffered(c, o.obj.next[idx])
+			c.PersistBuffered(o.obj.next[idx])
 			line = 7
 		case 7:
 			c.Step(7)
@@ -270,7 +270,7 @@ func (o *stackPop) Exec(c *proc.Ctx, line int) uint64 {
 		case 4:
 			c.Step(4)
 			c.Write(o.obj.vict[p], top)
-			persistBuffered(c, o.obj.vict[p])
+			c.PersistBuffered(o.obj.vict[p])
 			line = 5
 		case 5:
 			c.Step(5)

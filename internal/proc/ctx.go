@@ -296,6 +296,25 @@ func (c *Ctx) Persist(a nvm.Addr) {
 	c.Fence()
 }
 
+// PersistBuffered flushes addrs and issues one fence, on Buffered
+// memory only. In the paper's model (per-process crashes, surviving
+// shared memory) no persistence instructions are needed; on the
+// Buffered full-system-crash extension, the recoverable objects persist
+// their linearization witnesses and own bookkeeping through it, so
+// operations that completed survive a power failure. On ADR memory it
+// issues nothing, keeping traces and goldens identical.
+//
+//nrl:hotpath per-line op primitive (ROADMAP item 1)
+func (c *Ctx) PersistBuffered(addrs ...nvm.Addr) {
+	if c.p.sys.mem.Mode() != nvm.Buffered {
+		return
+	}
+	for _, a := range addrs {
+		c.Flush(a)
+	}
+	c.Fence()
+}
+
 // emitMem sends the trace event of one memory primitive the process
 // issued, after the primitive returned. The event belongs to the
 // inner-most pending operation; at depth 0 it is attributed to the root

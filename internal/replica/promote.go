@@ -23,23 +23,22 @@ func (s *Set) promoteLocked() error {
 	// Rank candidates by durable credentials: attached mirrors by their
 	// live position, faulted directories by a read-only scan.
 	type cand struct {
-		f             *follower
-		epoch, prefix uint64
+		f *follower
+		Candidate
 	}
 	var cands []cand
 	for _, f := range s.followers {
+		c := Candidate{Index: s.dirIdx[f.dir]}
 		if f.mirror != nil {
-			cands = append(cands, cand{f, f.mirror.Epoch(), f.mirror.Seq()})
+			c.Epoch, c.Prefix = f.mirror.Epoch(), f.mirror.Seq()
 		} else if rep, err := persist.ScanDir(f.dir); err == nil {
-			cands = append(cands, cand{f, rep.Epoch, rep.Prefix})
+			c.Epoch, c.Prefix = rep.Epoch, rep.Prefix
+		} else {
+			continue
 		}
+		cands = append(cands, cand{f, c})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].epoch != cands[j].epoch {
-			return cands[i].epoch > cands[j].epoch
-		}
-		return cands[i].prefix > cands[j].prefix
-	})
+	sort.Slice(cands, func(i, j int) bool { return cands[i].Outranks(cands[j].Candidate) })
 
 	for _, c := range cands {
 		f := c.f

@@ -121,6 +121,55 @@ type Set struct {
 	degraded    error
 }
 
+// MemberDirs is the layout of a replica-set root: member i is the
+// directory root/r<i>.
+func MemberDirs(root string, n int) []string {
+	ds := make([]string, n)
+	for i := range ds {
+		ds[i] = filepath.Join(root, fmt.Sprintf("r%d", i))
+	}
+	return ds
+}
+
+// Candidate is one member's standing in an election: its index in the
+// member list, and the epoch and durable prefix its store holds.
+type Candidate struct {
+	Index         int
+	Epoch, Prefix uint64
+}
+
+// Outranks is the election rule, the one Open, promotion and the
+// read-only tools share: the higher epoch wins, then the longer durable
+// prefix, then the lower member index.
+func (a Candidate) Outranks(b Candidate) bool {
+	if a.Epoch != b.Epoch {
+		return a.Epoch > b.Epoch
+	}
+	if a.Prefix != b.Prefix {
+		return a.Prefix > b.Prefix
+	}
+	return a.Index < b.Index
+}
+
+// Scan reads each member directory's durable credentials read-only —
+// no election, no healing — and returns the index of the member the
+// next Open would elect among those that scan clean, or -1 if none
+// does.
+func Scan(dirs []string) (reps []persist.ScanReport, errs []error, elect int) {
+	reps = make([]persist.ScanReport, len(dirs))
+	errs = make([]error, len(dirs))
+	elect = -1
+	var best Candidate
+	for i, d := range dirs {
+		reps[i], errs[i] = persist.ScanDir(d)
+		c := Candidate{Index: i, Epoch: reps[i].Epoch, Prefix: reps[i].Prefix}
+		if errs[i] == nil && (elect < 0 || c.Outranks(best)) {
+			elect, best = i, c
+		}
+	}
+	return reps, errs, elect
+}
+
 // Open opens (creating as needed) every replica directory, elects the
 // one with the highest (epoch, durable prefix) as leader, and attaches
 // the rest as followers caught up to the leader's state. A directory
@@ -165,12 +214,7 @@ func Open(opts Options) (*Set, error) {
 
 	// Election: rank every directory by its durable credentials, then
 	// open the best one that actually recovers.
-	type cand struct {
-		dir           string
-		epoch, prefix uint64
-		idx           int
-	}
-	cands := make([]cand, 0, len(opts.Dirs))
+	cands := make([]Candidate, 0, len(opts.Dirs))
 	for i, d := range opts.Dirs {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("replica: %w", err)
@@ -179,26 +223,19 @@ func Open(opts Options) (*Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("replica: %w", err)
 		}
-		cands = append(cands, cand{dir: d, epoch: rep.Epoch, prefix: rep.Prefix, idx: i})
+		cands = append(cands, Candidate{Index: i, Epoch: rep.Epoch, Prefix: rep.Prefix})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].epoch != cands[j].epoch {
-			return cands[i].epoch > cands[j].epoch
-		}
-		if cands[i].prefix != cands[j].prefix {
-			return cands[i].prefix > cands[j].prefix
-		}
-		return cands[i].idx < cands[j].idx
-	})
+	sort.Slice(cands, func(i, j int) bool { return cands[i].Outranks(cands[j]) })
 	var openErrs []error
 	for _, c := range cands {
-		ld, err := s.openLeader(c.dir)
+		dir := opts.Dirs[c.Index]
+		ld, err := s.openLeader(dir)
 		if err != nil {
-			openErrs = append(openErrs, fmt.Errorf("%s: %w", c.dir, err))
+			openErrs = append(openErrs, fmt.Errorf("%s: %w", dir, err))
 			continue
 		}
 		s.leader = ld
-		s.leaderDir = c.dir
+		s.leaderDir = dir
 		break
 	}
 	if s.leader == nil {
