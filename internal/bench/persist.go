@@ -136,32 +136,46 @@ func appendRow(words, procs int) Spec {
 	}
 }
 
-// PersistSuite returns the durable-backend benchmarks ("persist"
-// report): segmented WAL append throughput on a single store, the same
-// with multi-word batches and with two committers whose syncs overlap,
-// and leader→follower ship throughput over a three-member replica set.
-// These are the BENCH_persist.json rows the CI regression gate watches.
-func PersistSuite() []Spec {
-	specs := []Spec{appendRow(1, 1), appendRow(8, 1), appendRow(1, 2)}
-	specs = append(specs, Spec{
-		Name:    "ReplicaShip/replicas=3/words=1",
-		Workers: 1,
-		Setup: func(_, _ int) (*nvm.Memory, []func(int)) {
+// replicaRow commits one word per op to a three-member replica set from
+// each of procs workers at once, each to its own stride of the address
+// cycle, as appendRow does.
+func replicaRow(procs int) Spec {
+	name := "ReplicaShip/replicas=3/words=1"
+	if procs > 1 {
+		name += fmt.Sprintf("/procs=%d", procs)
+	}
+	return Spec{
+		Name:    name,
+		Workers: procs,
+		Setup: func(workers, _ int) (*nvm.Memory, []func(int)) {
 			root := benchDir()
 			s, err := replica.Open(replica.Options{
-				Dirs:    []string{root + "/r0", root + "/r1", root + "/r2"},
+				Dirs:    replica.MemberDirs(root, 3),
 				Persist: persistStoreOpts(),
 			})
 			if err != nil {
 				panic("bench: " + err.Error())
 			}
 			addrs := persistAddrs(s.Grow)
-			return nil, []func(int){func(i int) {
-				if err := s.Commit([]nvm.WordUpdate{{Addr: addrs[i%len(addrs)], Val: uint64(i)}}); err != nil {
-					panic("bench: " + err.Error())
+			ops := make([]func(int), workers)
+			for w := range ops {
+				ops[w] = func(i int) {
+					if err := s.Commit([]nvm.WordUpdate{{Addr: addrs[(i*workers+w)%len(addrs)], Val: uint64(i)}}); err != nil {
+						panic("bench: " + err.Error())
+					}
 				}
-			}}
+			}
+			return nil, ops
 		},
-	})
-	return specs
+	}
+}
+
+// PersistSuite returns the durable-backend benchmarks ("persist"
+// report): segmented WAL append throughput on a single store, the same
+// with multi-word batches and with two committers whose syncs overlap,
+// and quorum-commit throughput over a three-member replica set from one
+// committer and from two whose commits pipeline. These are the
+// BENCH_persist.json rows the CI regression gate watches.
+func PersistSuite() []Spec {
+	return []Spec{appendRow(1, 1), appendRow(8, 1), appendRow(1, 2), replicaRow(1), replicaRow(2)}
 }

@@ -32,13 +32,15 @@
 //
 // nvm.Memory hands the backend one Commit per fence, carrying the words
 // captured by flushes since the previous fence; fences of different
-// processes commit concurrently. A commit runs in three steps:
+// processes commit concurrently. A commit is Append then Sync, and a
+// replica set calls the two halves itself (package replica), so it can
+// sync its followers beside the leader:
 //
-//  1. Under the store lock it takes the next sequence, applies the
+//  1. Append, under the store lock, takes the next sequence, applies the
 //     batch to the in-memory image, and writes one record at the active
 //     segment's tail. Records therefore reach the file in sequence
 //     order. The shipper's Append and the black-box rewrite run here.
-//  2. Outside the lock it fdatasyncs the segment through an open file
+//  2. Sync fdatasyncs the segment outside the lock through an open file
 //     description of its own, taken before the record was written.
 //     Concurrent commits' syncs overlap in the kernel; each covers its
 //     own record and every earlier one. Linux reports a writeback error
@@ -46,11 +48,10 @@
 //     a description shared with an overlapping sync could lose the
 //     report for this record's pages to that sync. Other platforms make
 //     no such promise, so there the sync stays under the lock.
-//  3. Back under the lock it completes in sequence order: it returns
+//  3. Back under the lock, Sync completes in sequence order: it returns
 //     nil only once its own sync and every earlier commit's returned
 //     nil, since an error on an earlier record's pages goes to that
-//     record's own sync. That is the atomic commit point; the shipper's
-//     Fence runs there.
+//     record's own sync. That is the atomic commit point.
 //
 // The touched data pages join a rewrite queue. The commit that leaves
 // none in flight rewrites the queue in place without syncing it, so no
@@ -85,8 +86,9 @@
 // budget is exhausted or a sync fails the backend sticks a
 // *nvm.DegradedError
 // (matching nvm.ErrDegraded) and fails every subsequent Commit
-// immediately, which makes the Memory above it read-only. Nothing in
-// this package panics on I/O failure.
+// immediately, which makes the Memory above it read-only. A Mirror
+// whose sync fails likewise fails every later call. Nothing in this
+// package panics on I/O failure.
 //
 // A commit that fails is an in-flight fence: its record may or may not
 // have reached the disk before the failure — and every commit in flight

@@ -50,9 +50,10 @@ type Options struct {
 	// "manifest.rename", "data.pwrite", "data.fsync", "data.read",
 	// "snap.install", "bbox.pwrite" or "bbox.fsync" — and a non-nil
 	// return fails that attempt. It is the failpoint hook the
-	// degradation and replica fault tests drive. On Linux File.Commit
-	// syncs outside the store lock, so concurrent commits call it for
-	// "wal.fsync" concurrently.
+	// degradation and replica fault tests drive. On Linux File.Sync
+	// runs outside the store lock, so concurrent commits call it for
+	// "wal.fsync" concurrently; a Mirror's Fence likewise calls it
+	// beside the Mirror's Append.
 	Inject func(op string) error
 	// PhaseHook observes the commit-side persistence phases: Fenced
 	// when a record's fsync lands (the atomic commit point) and
@@ -70,8 +71,8 @@ type Options struct {
 	// Shipper, when non-nil, observes the commit pipeline for
 	// replication (package replica wires the leader's store to its
 	// follower mirrors through it). Hooks are notifications: the
-	// shipper owns its own retry policy and error state, and can never
-	// fail or degrade the local store.
+	// shipper owns its own retry policy, error state and follower
+	// syncs, and can never fail or degrade the local store.
 	Shipper Shipper
 	// BlackBox, when non-nil, attaches a flight recorder (package
 	// flightrec) to the store: Open feeds it the surviving bbox region
@@ -83,20 +84,17 @@ type Options struct {
 	BlackBox BlackBox
 }
 
-// Shipper observes a store's commit pipeline for replication. All hooks
-// run under the store's lock; Append and Fence each see sequences in
-// increasing order, though commits overlapping on one store may run
-// another record's Append between a record's Append and its Fence.
+// Shipper observes a store's commit pipeline for replication.
 type Shipper interface {
-	// Append delivers one committed record's encoded bytes right after
-	// the local segment append, before the local sync.
+	// Append delivers one record's encoded bytes right after the local
+	// segment append, under the store lock, in sequence order. rec is
+	// valid only during the call: the store encodes the next record into
+	// the same buffer.
 	Append(seq, epoch uint64, rec []byte)
-	// Fence runs once the record and every earlier one are durable on
-	// this store — the point where a replica set may count it toward
-	// quorum.
-	Fence(seq uint64)
 	// Checkpoint runs after a checkpoint folds the log into the data
-	// file; snapshotSeq is the sequence the data file now carries.
+	// file; snapshotSeq is the sequence the data file now carries. It
+	// may run outside the caller's own locks: from Snapshot, or from the
+	// Sync that leaves no commit in flight.
 	Checkpoint(snapshotSeq uint64)
 }
 
@@ -146,7 +144,8 @@ func (o Options) withDefaults() Options {
 // budget, consulting the failpoint hook before each attempt. It is
 // shared by the store, the manifest writer, and follower mirrors; each
 // owner holds its own so the lifetime retry counts stay attributable.
-// The count is atomic because File.Commit syncs outside its lock.
+// The count is atomic because File.Sync and Mirror.Fence sync outside
+// their locks.
 type retrier struct {
 	opts    Options
 	retries atomic.Uint64
@@ -251,6 +250,7 @@ type File struct {
 	pending  []uint32       // pages whose rewrite waits until no commit is in flight
 	idxs     []uint32       // one commit's page list, reused
 	pageBuf  [PageSize]byte // writePendingLocked's page image
+	recBuf   []byte         // encodeRecord's record, reused
 	seq      uint64         // last record sequence appended
 	done     uint64         // last sequence whose commit completed; so did every lower one
 	inflight int            // commits appended and not yet completed
@@ -399,43 +399,69 @@ func (f *File) growLocked(a int) {
 	}
 }
 
-// Commit implements nvm.Backend. Under the store lock it appends one
-// WAL record at the active segment's tail, so records reach the file in
-// sequence order. It syncs the segment outside the lock (on Linux; see
-// syncOutsideLock), through an open file description of its own,
-// overlapping the syncs of concurrent commits. Back under the lock it
-// completes in sequence order: a commit succeeds only once its own sync
-// and every earlier commit's have. The commit that leaves none in flight
-// rewrites the queued data pages and runs a due rotation or checkpoint.
+// Commit implements nvm.Backend: Append, then Sync.
 func (f *File) Commit(batch []nvm.WordUpdate) error {
+	p, err := f.Append(batch)
+	if err != nil {
+		return err
+	}
+	return f.Sync(p)
+}
+
+// Pending is a record Append wrote and Sync has yet to complete.
+type Pending struct {
+	seq uint64
+	sf  *os.File // the open file description this record's sync uses
+}
+
+// Seq returns the record's sequence.
+func (p Pending) Seq() uint64 { return p.seq }
+
+// Append is the first half of Commit. Under the store lock it appends one
+// WAL record at the active segment's tail, so records reach the file in
+// sequence order, and runs the shipper's Append. Every Pending it
+// returns must be passed to Sync exactly once: rotations, checkpoints,
+// SetEpoch, Snapshot, RecordsSince and Close wait until it has been.
+func (f *File) Append(batch []nvm.WordUpdate) (Pending, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for f.hold > 0 && f.degraded == nil {
 		f.cond.Wait()
 	}
 	if f.degraded != nil {
-		return f.degraded
+		return Pending{}, f.degraded
 	}
 	// The sync's file is taken before the record is written; see
 	// takeSyncFileLocked.
 	sf, err := f.takeSyncFileLocked()
 	if err != nil {
-		return f.degradeLocked(err)
+		return Pending{}, f.degradeLocked(err)
 	}
 	if err := f.appendLocked(batch); err != nil {
 		f.spare = append(f.spare, sf)
-		return f.degradeLocked(err)
+		return Pending{}, f.degradeLocked(err)
 	}
-	seq := f.seq
 	f.inflight++
-	if syncOutsideLock {
-		f.mu.Unlock()
+	return Pending{seq: f.seq, sf: sf}, nil
+}
+
+// Sync is the second half of Commit. It syncs the segment outside the
+// store lock (on Linux; see syncOutsideLock), through an open file
+// description of its own, overlapping the syncs of concurrent commits.
+// Back under the lock it completes in sequence order: it returns nil
+// only once its own sync and every earlier commit's have returned nil.
+// The commit that leaves none in flight rewrites the queued data pages
+// and runs a due rotation or checkpoint.
+func (f *File) Sync(p Pending) error {
+	if !syncOutsideLock {
+		f.mu.Lock()
 	}
-	err = f.ret.runSync("wal.fsync", func() error { return syncSegment(sf) })
+	err := f.ret.runSync("wal.fsync", func() error { return syncSegment(p.sf) })
 	if syncOutsideLock {
 		f.mu.Lock()
 	}
-	f.spare = append(f.spare, sf)
+	defer f.mu.Unlock()
+	f.spare = append(f.spare, p.sf)
 	if err != nil {
 		f.degradeLocked(err)
 	}
@@ -443,14 +469,11 @@ func (f *File) Commit(batch []nvm.WordUpdate) error {
 	// takeSyncFileLocked), but one on an earlier record's pages reaches
 	// that record's own sync: wait for every earlier commit, and fail if
 	// any of them did.
-	for f.done != seq-1 && f.degraded == nil {
+	for f.done != p.seq-1 && f.degraded == nil {
 		f.cond.Wait()
 	}
 	if f.degraded == nil {
-		f.done = seq
-		if f.ship != nil {
-			f.ship.Fence(seq)
-		}
+		f.done = p.seq
 		f.hook(nvm.PhaseFenced)
 		f.commits++
 	}
@@ -759,9 +782,12 @@ func (f *File) queuePage(idx uint32) {
 }
 
 // encodeRecord builds one WAL record carrying the current images of the
-// given pages at sequence f.seq.
+// given pages at sequence f.seq, in a buffer the next record reuses: the
+// caller writes and ships it under the store lock.
 func (f *File) encodeRecord(idxs []uint32) []byte {
-	rec := make([]byte, walRecHeaderSize+len(idxs)*walEntrySize+4)
+	n := walRecHeaderSize + len(idxs)*walEntrySize + 4
+	rec := slices.Grow(f.recBuf[:0], n)[:n]
+	f.recBuf = rec
 	binary.LittleEndian.PutUint32(rec[0:], walMagic)
 	binary.LittleEndian.PutUint64(rec[4:], f.seq)
 	binary.LittleEndian.PutUint32(rec[12:], uint32(len(idxs)))

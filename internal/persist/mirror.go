@@ -30,10 +30,14 @@ type Mirror struct {
 	seg      *os.File
 	segIndex uint32
 	segSize  int64
-	unsynced bool // records appended since the last sync
 	seq      uint64
+	synced   uint64 // last sequence a sync covered
 	epoch    uint64
 	snapSeq  uint64
+	// failed is the sticky error of a failed sync: the kernel may have
+	// marked the failed pages clean, so no later sync, and no mirror
+	// reopened over the page cache, can show them durable.
+	failed error
 }
 
 // OpenMirror opens (creating if absent) the follower store in dir and
@@ -61,6 +65,7 @@ func OpenMirror(dir string, opts Options) (*Mirror, error) {
 	if n := len(ch.recs); n > 0 && ch.recs[n-1].seq > m.seq {
 		m.seq = ch.recs[n-1].seq
 	}
+	m.synced = m.seq
 	if !manOK {
 		if err := writeManifest(dir, manifest{epoch: m.epoch, snapshotSeq: m.snapSeq}, &m.ret); err != nil {
 			return nil, err
@@ -163,10 +168,13 @@ func (m *Mirror) SnapshotSeq() uint64 {
 
 // Append accepts one shipped record. seq must extend the prefix by
 // exactly one (ErrSeqGap otherwise). The record is buffered; it counts
-// toward quorum only after Fence.
+// toward quorum only after Fence. Append may run beside a Fence.
 func (m *Mirror) Append(seq uint64, rec []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.failed != nil {
+		return m.failed
+	}
 	if seq != m.seq+1 {
 		return fmt.Errorf("%w: have %d, got %d", ErrSeqGap, m.seq, seq)
 	}
@@ -178,32 +186,53 @@ func (m *Mirror) Append(seq uint64, rec []byte) error {
 	}
 	m.segSize += int64(len(rec))
 	m.seq = seq
-	m.unsynced = true
 	return nil
 }
 
-// Fence syncs the active segment: everything appended so far becomes
-// durable and may be counted toward replication quorum. A segment grown
-// past SegmentBytes rotates here, after its sync: the next segment's
-// header names the last record as its base, so a crash that lost that
-// record would cut the chain before every record fenced after it.
+// Fence makes everything appended before the call durable, to be
+// counted toward replication quorum. It syncs the active segment
+// outside the mirror's lock, so appends go on meanwhile; Fence calls
+// must not overlap one another, SetEpoch, InstallSnapshot or Close. A
+// segment grown past SegmentBytes rotates here, once every record on it
+// is synced: the next segment's header names the last record as its
+// base, so a crash that lost that record would cut the chain before
+// every record fenced after it. A failed sync is final: the mirror
+// fails every later call, and only a snapshot install into a freshly
+// opened mirror brings the directory back.
 func (m *Mirror) Fence() error {
 	m.mu.Lock()
+	seg, seq, err := m.seg, m.seq, m.failed
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = m.ret.runSync("wal.fsync", func() error { return syncSegment(seg) })
+	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err != nil {
+		m.failed = err
+		return err
+	}
+	m.synced = seq
+	if m.segSize < m.opts.SegmentBytes {
+		return nil
+	}
 	if err := m.syncLocked(); err != nil {
 		return err
 	}
-	if m.segSize >= m.opts.SegmentBytes {
-		return m.rotateLocked()
-	}
-	return nil
+	return m.rotateLocked()
 }
 
+// syncLocked syncs the records appended since the last sync, if any.
 func (m *Mirror) syncLocked() error {
+	if m.synced == m.seq {
+		return nil
+	}
 	if err := m.ret.runSync("wal.fsync", func() error { return syncSegment(m.seg) }); err != nil {
+		m.failed = err
 		return err
 	}
-	m.unsynced = false
+	m.synced = m.seq
 	return nil
 }
 
@@ -213,6 +242,9 @@ func (m *Mirror) syncLocked() error {
 func (m *Mirror) SetEpoch(e uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.failed != nil {
+		return m.failed
+	}
 	if e <= m.epoch {
 		return fmt.Errorf("persist: epoch %d not above current %d", e, m.epoch)
 	}
@@ -220,10 +252,8 @@ func (m *Mirror) SetEpoch(e uint64) error {
 		return err
 	}
 	m.epoch = e
-	if m.unsynced {
-		if err := m.syncLocked(); err != nil {
-			return err
-		}
+	if err := m.syncLocked(); err != nil {
+		return err
 	}
 	return m.rotateLocked()
 }
@@ -237,6 +267,9 @@ func (m *Mirror) SetEpoch(e uint64) error {
 func (m *Mirror) InstallSnapshot(img []byte, seq, epoch uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.failed != nil {
+		return m.failed
+	}
 	if !validHeader(img) {
 		return fmt.Errorf("persist: snapshot image has no valid header")
 	}
@@ -269,6 +302,7 @@ func (m *Mirror) InstallSnapshot(img []byte, seq, epoch uint64) error {
 	m.epoch = epoch
 	m.snapSeq = seq
 	m.seq = seq
+	m.synced = seq
 	// Old segments go before the fresh one is created: the stale chain
 	// ends below the new snapshot sequence, so if a crash left both it
 	// and a new segment behind, the next recovery would chain onto the
@@ -277,7 +311,6 @@ func (m *Mirror) InstallSnapshot(img []byte, seq, epoch uint64) error {
 		m.seg.Close()
 		m.seg = nil
 	}
-	m.unsynced = false
 	old, err := listSegments(m.dir)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)

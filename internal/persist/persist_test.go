@@ -395,19 +395,18 @@ func TestMemoryRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// seqShipper records the sequences its Append and Fence hooks see. The
-// store calls them under its lock.
-type seqShipper struct{ appended, fenced []uint64 }
+// seqShipper records the sequences its Append hook sees. The store
+// calls it under its lock.
+type seqShipper struct{ appended []uint64 }
 
 func (s *seqShipper) Append(seq, _ uint64, _ []byte) { s.appended = append(s.appended, seq) }
-func (s *seqShipper) Fence(seq uint64)               { s.fenced = append(s.fenced, seq) }
 func (s *seqShipper) Checkpoint(uint64)              {}
 
 // TestConcurrentCommits: four goroutines commit to one store at once,
 // with segments and checkpoints small enough that rotation and
 // checkpoint barriers fire under load. Every acknowledged value must
 // survive a reopen, with no discarded log, and the shipper must see
-// every sequence once, in order, at both hooks.
+// every sequence once, in order.
 func TestConcurrentCommits(t *testing.T) {
 	dir := t.TempDir()
 	opts := fastOpts()
@@ -451,15 +450,13 @@ func TestConcurrentCommits(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, seqs := range map[string][]uint64{"Append": ship.appended, "Fence": ship.fenced} {
-		for i, seq := range seqs {
-			if seq != uint64(i+1) {
-				t.Fatalf("shipper %s saw sequence %d at position %d, want %d", name, seq, i, i+1)
-			}
+	for i, seq := range ship.appended {
+		if seq != uint64(i+1) {
+			t.Fatalf("shipper saw sequence %d at position %d, want %d", seq, i, i+1)
 		}
-		if len(seqs) != workers*commits {
-			t.Fatalf("shipper %s saw %d sequences, want %d", name, len(seqs), workers*commits)
-		}
+	}
+	if len(ship.appended) != workers*commits {
+		t.Fatalf("shipper saw %d sequences, want %d", len(ship.appended), workers*commits)
 	}
 
 	g := open(t, dir, opts)

@@ -110,8 +110,9 @@ func TestSetEpochSurvivesReopen(t *testing.T) {
 	}
 }
 
-// shipToMirror wires a File's shipper hooks straight into a Mirror, the
-// minimal single-follower replication loop.
+// shipToMirror wires a File's shipper hook straight into a Mirror, the
+// minimal single-follower replication loop: each record is appended and
+// fenced at once.
 type shipToMirror struct {
 	t *testing.T
 	m *persist.Mirror
@@ -121,9 +122,6 @@ func (s *shipToMirror) Append(seq, epoch uint64, rec []byte) {
 	if err := s.m.Append(seq, rec); err != nil {
 		s.t.Errorf("mirror Append(%d): %v", seq, err)
 	}
-}
-
-func (s *shipToMirror) Fence(seq uint64) {
 	if err := s.m.Fence(); err != nil {
 		s.t.Errorf("mirror Fence(%d): %v", seq, err)
 	}

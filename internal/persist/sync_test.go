@@ -256,3 +256,74 @@ func TestHousekeepingRunsQuiescent(t *testing.T) {
 		t.Fatal("no housekeeping I/O ran")
 	}
 }
+
+// TestMirrorSyncFailureIsFinal: a follower's sync that fails once must
+// fail every later call. The kernel may have marked the failed pages
+// clean, so a later sync that succeeds would let the records count
+// toward quorum without being on the disk.
+func TestMirrorSyncFailureIsFinal(t *testing.T) {
+	m, err := OpenMirror(t.TempDir(), Options{Sleep: func(time.Duration) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Append(1, []byte("record one")); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	withSyncSegment(t, func(fd *os.File) error {
+		if calls.Add(1) == 1 {
+			return errors.New("injected EIO")
+		}
+		return datasync(fd)
+	})
+	if err := m.Fence(); err == nil {
+		t.Fatal("Fence over a failed sync = nil")
+	}
+	if err := m.Fence(); err == nil {
+		t.Fatal("Fence after a failed sync = nil, want the failure again")
+	}
+	if err := m.Append(2, []byte("record two")); err == nil {
+		t.Fatal("Append after a failed sync = nil")
+	}
+	if err := m.SetEpoch(1); err == nil {
+		t.Fatal("SetEpoch after a failed sync = nil")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("sync called %d times, want 1", n)
+	}
+}
+
+// TestMirrorAppendsDuringFence: Fence syncs outside the mirror's lock,
+// so an append lands while it runs. Fence then counts only what was
+// appended before it, and a rotation it makes due first syncs the
+// record that landed meanwhile.
+func TestMirrorAppendsDuringFence(t *testing.T) {
+	m, err := OpenMirror(t.TempDir(), Options{Sleep: func(time.Duration) {}, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	rec := make([]byte, 48)
+	if err := m.Append(1, rec); err != nil {
+		t.Fatal(err)
+	}
+	var syncs atomic.Int32
+	withSyncSegment(t, func(fd *os.File) error {
+		if syncs.Add(1) == 1 {
+			if err := m.Append(2, rec); err != nil {
+				t.Errorf("Append during Fence: %v", err)
+			}
+		}
+		return datasync(fd)
+	})
+	if err := m.Fence(); err != nil {
+		t.Fatal(err)
+	}
+	if n := syncs.Load(); n != 2 {
+		t.Fatalf("%d syncs, want 2: the record appended during the first must be synced before the rotation", n)
+	}
+	if m.segIndex != 1 || m.synced != 2 {
+		t.Fatalf("segment %d, synced through %d; want a rotation to segment 1 after syncing 2", m.segIndex, m.synced)
+	}
+}

@@ -9,10 +9,11 @@ import (
 )
 
 // promoteLocked replaces a degraded leader with the follower holding
-// the longest durable prefix. On return with nil the Set has a serving
-// leader under a strictly higher epoch, durable on the new leader and
-// stamped on every surviving mirror, with the allocation shadow
-// replayed — ready for the interrupted batch to reapply.
+// the longest prefix. It runs quiescent: no leader or follower sync is
+// in flight. On return with nil the Set has a serving leader under a
+// strictly higher epoch, durable on the new leader and stamped on every
+// surviving mirror, with the allocation shadow replayed — ready for the
+// unacknowledged batches to reapply.
 func (s *Set) promoteLocked() error {
 	if ph := s.opts.Persist.PhaseHook; ph != nil {
 		ph(nvm.PhaseFailover)
@@ -20,8 +21,8 @@ func (s *Set) promoteLocked() error {
 	s.leader.Close()
 	oldDir := s.leaderDir
 
-	// Rank candidates by durable credentials: attached mirrors by their
-	// live position, faulted directories by a read-only scan.
+	// Rank candidates by their credentials: healthy followers by their
+	// mirror's live position, faulted directories by a read-only scan.
 	type cand struct {
 		f *follower
 		Candidate
@@ -29,7 +30,7 @@ func (s *Set) promoteLocked() error {
 	var cands []cand
 	for _, f := range s.followers {
 		c := Candidate{Index: s.dirIdx[f.dir]}
-		if f.mirror != nil {
+		if f.healthy {
 			c.Epoch, c.Prefix = f.mirror.Epoch(), f.mirror.Seq()
 		} else if rep, err := persist.ScanDir(f.dir); err == nil {
 			c.Epoch, c.Prefix = rep.Epoch, rep.Prefix
@@ -74,7 +75,8 @@ func (s *Set) promoteLocked() error {
 		s.leaderDir = f.dir
 		f.dir = oldDir
 		f.healthy = false
-		f.durable = 0
+		f.appended, f.durable = 0, 0
+		f.needSnap = true
 		f.fails = 0
 		f.nextHeal = s.commits
 		s.epoch = newEpoch
@@ -84,22 +86,23 @@ func (s *Set) promoteLocked() error {
 		// with the new leader, so the quorum counted at the next ack is
 		// a quorum of the new epoch.
 		for _, g := range s.followers {
-			if g == f || !g.healthy || g.mirror == nil {
+			if g == f || !g.healthy {
 				continue
 			}
 			if err := g.mirror.SetEpoch(newEpoch); err != nil {
-				s.faultLocked(g)
+				g.needSnap = true
+				s.backoffLocked(g)
 				continue
 			}
 			if err := s.catchUpLocked(g); err != nil {
-				s.faultLocked(g)
+				s.backoffLocked(g)
 			}
 		}
 
 		// Replay the allocation shadow: words grown but never committed
 		// exist in no durable page, so the new leader's image must
-		// cover them before the in-flight batch reapplies and persists
-		// their pages.
+		// cover them before the unacknowledged batches reapply and
+		// persist their pages.
 		for a, init := range s.grows {
 			if _, ok := nl.Recovered(a); !ok {
 				nl.Grow(a, init)

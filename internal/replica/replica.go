@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nrl/internal/nvm"
@@ -37,11 +38,13 @@ type Options struct {
 	// InjectFor, when non-nil, supplies the failpoint hook for the
 	// replica directory at index i of Dirs. Faults follow the
 	// directory, not the role: a directory keeps its hook as leadership
-	// moves.
+	// moves. A follower's hook sees "wal.fsync" from the follower's own
+	// sync goroutine, concurrently with the committers' "wal.append".
 	InjectFor func(i int) func(op string) error
-	// ShipRetries is how many times a failed ship operation to one
-	// follower is retried beyond the first attempt before the follower
-	// is marked faulted (default 2; negative for none).
+	// ShipRetries is how many times a failed record append or snapshot
+	// install on one follower is retried beyond the first attempt
+	// before the follower is marked faulted (default 2; negative for
+	// none). A failed follower sync is never retried.
 	ShipRetries int
 	// ShipBaseDelay and ShipMaxDelay bound the jittered exponential
 	// backoff between ship retries (defaults 1ms and 50ms).
@@ -81,17 +84,33 @@ func (o Options) withDefaults() Options {
 }
 
 // follower is one non-leader member: its directory, its mirror handle
-// while attached, and the fault/heal bookkeeping.
+// while attached, its sync progress, and the fault/heal bookkeeping.
 type follower struct {
 	dir     string
-	mirror  *persist.Mirror // nil while faulted
+	mirror  *persist.Mirror // nil while detached; a faulted one stays open until its heal
 	healthy bool
-	durable uint64 // highest sequence fenced on this follower
-	fails   int    // consecutive attach/ship failures
+	// appended is the highest sequence shipped to the mirror; durable
+	// the highest its sync goroutine has fenced. Quorum counts durable.
+	appended, durable uint64
+	// needSnap marks a follower whose sync failed: it heals by snapshot
+	// install, because a reopened mirror would read the failed records
+	// back from the page cache.
+	needSnap bool
+	fails    int // consecutive attach/ship failures
 	// nextHeal is the Set commit count at which the next heal attempt
 	// is due — backoff is measured in commits, not wall time, so it is
 	// deterministic under test.
 	nextHeal uint64
+}
+
+// inflight is one commit between its append and its acknowledgement.
+type inflight struct {
+	// batch is a copy of the commit's batch, reapplied on a promoted
+	// leader.
+	batch []nvm.WordUpdate
+	seq   uint64 // the record's sequence on the current leader
+	// durable reports that the current leader's Sync returned nil.
+	durable bool
 }
 
 // Set is a replicated nvm.Backend over Options.Dirs. Install it with
@@ -103,8 +122,15 @@ type Set struct {
 	sleep  func(time.Duration)
 	box    persist.BlackBox // caller's recorder, for post-failover Resync
 	live   *liveBox
+	// snapPending marks a leader checkpoint awaiting distribution. The
+	// leader's Checkpoint hook sets it from a Sync, outside mu.
+	snapPending atomic.Bool
+	wg          sync.WaitGroup // the follower sync goroutines
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// cond, on mu, announces every commit step, every follower sync and
+	// every lifted hold.
+	cond      sync.Cond
 	leader    *persist.File
 	leaderDir string
 	followers []*follower
@@ -112,14 +138,29 @@ type Set struct {
 	rng       *vclock.Rand
 	// grows shadows every Grow since Open: words allocated above but
 	// not yet committed exist in no durable page, so a promoted leader
-	// must have them replayed before the in-flight batch lands.
-	grows       map[nvm.Addr]uint64
-	snapPending bool // a leader checkpoint awaits distribution
-	commits     uint64
-	promotions  uint64
-	heals       uint64
-	degraded    error
+	// must have them replayed before the unacknowledged batches reapply.
+	grows map[nvm.Addr]uint64
+	// pending holds the commits appended and not yet acknowledged, in
+	// sequence order. The t-th commit since Open is acknowledged t-th,
+	// so until then it sits at pending[t-commits-1].
+	pending []inflight
+	// syncs counts the leader and follower syncs running outside mu;
+	// leaderFailed reports that the leader failed an Append or Sync.
+	syncs        int
+	leaderFailed bool
+	// hold counts the parties waiting for quiescence — a failover, a
+	// forced or due heal, a snapshot distribution, Close; no commit
+	// appends while it is positive.
+	hold       int
+	closed     bool
+	commits    uint64
+	promotions uint64
+	heals      uint64
+	degraded   error
 }
+
+// errClosed is what Commit returns once Close has begun.
+var errClosed = errors.New("replica: set closed")
 
 // MemberDirs is the layout of a replica-set root: member i is the
 // directory root/r<i>.
@@ -187,6 +228,7 @@ func Open(opts Options) (*Set, error) {
 		dirIdx: make(map[string]int, len(opts.Dirs)),
 		grows:  make(map[nvm.Addr]uint64),
 	}
+	s.cond.L = &s.mu
 	// Jitter stream: an injected Source wins; otherwise stream 1 of the
 	// Set's seed (stream 0 is reserved for a campaign's own choices).
 	if opts.Source != nil {
@@ -252,6 +294,8 @@ func Open(opts Options) (*Set, error) {
 		f := &follower{dir: d}
 		s.followers = append(s.followers, f)
 		s.attachLocked(f)
+		s.wg.Add(1)
+		go s.syncFollower(f)
 	}
 	return s, nil
 }
@@ -302,50 +346,205 @@ func (s *Set) Grow(a nvm.Addr, init uint64) {
 	s.leader.Grow(a, init)
 }
 
-// Commit implements nvm.Backend: the batch commits on the leader and is
-// acknowledged once a majority of the replicas hold it durably. A
-// degraded leader is replaced by a promoted follower and the batch
+// Commit implements nvm.Backend as a pipeline. Under the Set's lock the
+// batch takes the next sequence and its record is appended on the
+// leader and on every healthy follower, in sequence order. Outside the
+// lock the leader's sync runs beside the followers' sync goroutines.
+// Commit returns once the leader and quorum−1 followers hold the record
+// durably and every earlier commit has returned. A degraded leader is
+// replaced by a promoted follower and every unacknowledged batch
 // reapplied — the caller never observes the failover. Commit fails
 // (sticky, wrapped in *nvm.DegradedError) only when no replica can
 // serve or quorum cannot be restored.
 func (s *Set) Commit(batch []nvm.WordUpdate) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.hold > 0 && s.degraded == nil && !s.closed {
+		s.cond.Wait()
+	}
 	if s.degraded != nil {
 		return s.degraded
 	}
-	var lerr error
-	for range s.opts.Dirs { // at most one promotion per member
-		lerr = s.leader.Commit(batch)
-		if lerr != nil {
-			if perr := s.promoteLocked(); perr != nil {
-				// Both branches stay on the %w chain: errors.Is must
-				// resolve the root I/O failure through the set-level
-				// degradation (see TestDegradedCauseChain).
-				return s.degradeLocked(fmt.Errorf("replica: failover failed: %w (leader: %w)", perr, lerr))
-			}
-			continue // reapply the batch on the promoted leader
+	if s.closed {
+		return errClosed
+	}
+	n := len(s.pending)
+	t := s.commits + uint64(n) + 1
+	// The batch is copied into the slot's own buffer, reused across
+	// commits: the caller's (nvm.Memory's flush buffer) is not retained.
+	if n == cap(s.pending) {
+		s.pending = append(s.pending, inflight{})
+	}
+	s.pending = s.pending[:n+1]
+	e := &s.pending[n]
+	e.batch, e.seq, e.durable = append(e.batch[:0], batch...), 0, false
+	if p, err := s.leader.Append(batch); err != nil {
+		s.leaderFailed = true
+	} else {
+		e.seq = p.Seq()
+		ld := s.leader
+		s.syncs++
+		s.cond.Broadcast() // the followers have a record to sync
+		s.mu.Unlock()
+		err = ld.Sync(p)
+		s.mu.Lock()
+		s.syncs--
+		if err != nil {
+			s.leaderFailed = true
+		} else if s.degraded == nil {
+			s.pending[t-s.commits-1].durable = true
 		}
-		s.commits++
-		seq := s.leader.Seq()
+		s.cond.Broadcast()
+	}
+	for s.degraded == nil {
+		if t == s.commits+1 { // every earlier commit has returned
+			e := &s.pending[0]
+			if e.durable && s.durableCountLocked(e.seq) >= s.quorum {
+				s.ackLocked()
+				return nil
+			}
+			if s.leaderFailed || (e.durable && s.reachableLocked() < s.quorum) {
+				s.serviceLocked()
+				continue
+			}
+		}
+		s.cond.Wait()
+	}
+	return s.degraded
+}
+
+// ackLocked acknowledges the lowest pending commit, then runs the
+// housekeeping it made due: heals whose backoff expired and the
+// distribution of a leader checkpoint.
+func (s *Set) ackLocked() {
+	head := s.pending[0]
+	n := copy(s.pending, s.pending[1:])
+	s.pending[n] = head // its batch buffer serves a later commit
+	s.pending = s.pending[:n]
+	s.commits++
+	if s.snapPending.Load() || s.healDueLocked() {
+		s.quiesceLocked()
 		s.distributeSnapLocked()
-		if !s.quorumLocked(seq) {
-			// Quorum shortfall: heal every faulted follower right now,
-			// ignoring backoff — the ack is blocked on it.
-			s.healLocked(true)
-			if !s.quorumLocked(seq) {
-				return s.degradeLocked(fmt.Errorf("%w: %d/%d replicas durable at seq %d",
-					ErrNoQuorum, s.durableCountLocked(seq), len(s.opts.Dirs), seq))
-			}
-		}
 		s.healLocked(false)
-		return nil
+		s.resumeLocked()
+	}
+	s.cond.Broadcast()
+}
+
+// serviceLocked clears what keeps the lowest pending commit from its
+// acknowledgement, once quiescent: a failed leader is replaced, and a
+// quorum the healthy members cannot make forces a heal of every faulted
+// follower, then degrades the set with ErrNoQuorum if it still falls
+// short.
+func (s *Set) serviceLocked() {
+	s.quiesceLocked()
+	defer s.resumeLocked()
+	if s.leaderFailed && s.failoverLocked() != nil {
+		return
+	}
+	if e := s.pending[0]; e.durable && s.reachableLocked() < s.quorum {
+		s.healLocked(true)
+		if s.reachableLocked() < s.quorum {
+			s.degradeLocked(fmt.Errorf("%w: %d/%d replicas durable at seq %d",
+				ErrNoQuorum, s.durableCountLocked(e.seq), len(s.opts.Dirs), e.seq))
+		}
+	}
+}
+
+// failoverLocked replaces the failed leader by promotion and reapplies
+// every unacknowledged batch on its successor, in sequence order.
+func (s *Set) failoverLocked() error {
+	lerr := s.leader.Err()
+	for range s.opts.Dirs { // at most one promotion per member
+		if perr := s.promoteLocked(); perr != nil {
+			// Both branches stay on the %w chain: errors.Is must
+			// resolve the root I/O failure through the set-level
+			// degradation (see TestDegradedCauseChain).
+			return s.degradeLocked(fmt.Errorf("replica: failover failed: %w (leader: %w)", perr, lerr))
+		}
+		if lerr = s.reapplyLocked(); lerr == nil {
+			s.leaderFailed = false
+			return nil
+		}
 	}
 	return s.degradeLocked(fmt.Errorf("replica: no replica could serve: %w", lerr))
 }
 
+// reapplyLocked commits every pending batch on the freshly promoted
+// leader. Records carry absolute page images, so a batch the old leader
+// had already made durable reapplies idempotently.
+func (s *Set) reapplyLocked() error {
+	for i := range s.pending {
+		s.pending[i].durable = false
+	}
+	for i := range s.pending {
+		e := &s.pending[i]
+		p, err := s.leader.Append(e.batch)
+		if err == nil {
+			err = s.leader.Sync(p)
+		}
+		if err != nil {
+			return err
+		}
+		e.seq, e.durable = p.Seq(), true
+	}
+	return nil
+}
+
+// quiesceLocked holds back new commits and waits until no sync runs
+// outside the lock: no leader sync and no follower sync. Commits still
+// pending then wait on their acknowledgement, touching nothing, so
+// heals, promotion and snapshot distribution may replace members under
+// them. resumeLocked lifts the hold.
+func (s *Set) quiesceLocked() {
+	s.hold++
+	for s.syncs > 0 {
+		s.cond.Wait()
+	}
+}
+
+func (s *Set) resumeLocked() {
+	s.hold--
+	s.cond.Broadcast()
+}
+
+// syncFollower is one follower slot's group-sync loop, running for the
+// Set's lifetime: each pass fences every record appended to the
+// follower since its last one, outside the Set's lock, so a slow member
+// holds back only itself. A failed sync faults the follower with no
+// retry, for a heal by snapshot.
+func (s *Set) syncFollower(f *follower) {
+	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for !s.closed && !(f.healthy && f.durable < f.appended) {
+			s.cond.Wait()
+		}
+		if s.closed {
+			return
+		}
+		m, upTo := f.mirror, f.appended
+		s.syncs++
+		s.mu.Unlock()
+		err := m.Fence()
+		s.mu.Lock()
+		s.syncs--
+		switch {
+		case err != nil:
+			f.needSnap = true
+			if f.healthy {
+				s.backoffLocked(f)
+			}
+		case f.healthy:
+			f.durable = upTo
+		}
+		s.cond.Broadcast()
+	}
+}
+
 // durableCountLocked counts the members holding seq durably: the leader
-// (whose Commit returned) plus every healthy follower fenced at or past
+// (whose Sync returned) plus every healthy follower fenced at or past
 // it.
 func (s *Set) durableCountLocked(seq uint64) int {
 	n := 1
@@ -357,8 +556,17 @@ func (s *Set) durableCountLocked(seq uint64) int {
 	return n
 }
 
-func (s *Set) quorumLocked(seq uint64) bool {
-	return s.durableCountLocked(seq) >= s.quorum
+// reachableLocked counts the members a pending record can still become
+// durable on: the leader and every healthy follower, each of which has
+// it appended. A faulted member is never waited on.
+func (s *Set) reachableLocked() int {
+	n := 1
+	for _, f := range s.followers {
+		if f.healthy {
+			n++
+		}
+	}
+	return n
 }
 
 // degradeLocked sticks the set-level degradation. The cause chain stays
@@ -414,9 +622,21 @@ func (s *Set) Report() persist.RecoveryReport {
 // Quorum returns the majority threshold (len(Dirs)/2 + 1).
 func (s *Set) Quorum() int { return s.quorum }
 
-// Close releases every member. Nothing is flushed: anything
-// acknowledged is already durable on a quorum.
+// Close waits for the commits pending to return, stops the follower
+// sync goroutines and releases every member. Nothing is flushed:
+// anything acknowledged is already durable on a quorum. Commit fails
+// once Close has begun.
 func (s *Set) Close() error {
+	s.mu.Lock()
+	s.hold++
+	for (len(s.pending) > 0 && s.degraded == nil) || s.syncs > 0 {
+		s.cond.Wait()
+	}
+	s.closed = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.wg.Wait()
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.leader.Close()

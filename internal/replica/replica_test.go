@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,6 +51,26 @@ func openSet(t *testing.T, opts replica.Options) *replica.Set {
 	return s
 }
 
+// settled waits until every member is healthy and durable at the
+// leader's sequence, and returns that status. A commit returns at the
+// first quorum, so the last member may still be syncing the newest
+// records when it does.
+func settled(t *testing.T, s *replica.Set) replica.Status {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := s.Status()
+		caughtUp := true
+		for _, m := range st.Members {
+			caughtUp = caughtUp && m.Healthy && m.Seq == st.Members[0].Seq
+		}
+		if caughtUp || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func commitVal(t *testing.T, s *replica.Set, a nvm.Addr, v uint64) {
 	t.Helper()
 	if err := s.Commit([]nvm.WordUpdate{{Addr: a, Val: v}}); err != nil {
@@ -65,7 +88,7 @@ func TestReplicatedCommitAndReopen(t *testing.T) {
 	if got := s.Seq(); got != 20 {
 		t.Fatalf("Seq = %d, want 20", got)
 	}
-	st := s.Status()
+	st := settled(t, s)
 	if len(st.Members) != 3 || st.Members[0].Role != "leader" {
 		t.Fatalf("status = %+v, want 3 members led by %s", st, s.LeaderDir())
 	}
@@ -276,7 +299,7 @@ func TestFollowerHealsAfterTransientFault(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		commitVal(t, s, 0, uint64(10+i))
 	}
-	st = s.Status()
+	st = settled(t, s)
 	if st.Heals == 0 {
 		t.Fatalf("status = %+v, want at least one heal", st)
 	}
@@ -331,7 +354,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 			break
 		}
 	}
-	st := s.Status()
+	st := settled(t, s)
 	for _, m := range st.Members {
 		if !m.Healthy || m.Seq != st.Members[0].Seq {
 			t.Fatalf("member %+v not caught up to leader %+v", m, st.Members[0])
@@ -622,5 +645,175 @@ func TestDegradedCauseChain(t *testing.T) {
 	var de *nvm.DegradedError
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want *nvm.DegradedError via errors.As", err)
+	}
+}
+
+// TestSlowMemberDoesNotHoldBackAck: a follower whose syncs stall holds
+// back no commit. Two committers keep being acknowledged by the leader
+// and the other follower; once released, the slow member's durable
+// prefix reaches the leader's.
+func TestSlowMemberDoesNotHoldBackAck(t *testing.T) {
+	ds := dirs(t, 3)
+	var armed atomic.Bool
+	release := make(chan struct{})
+	opts := fastOpts(ds)
+	opts.InjectFor = func(i int) func(op string) error {
+		if i != 2 {
+			return nil
+		}
+		return func(op string) error {
+			if op == "wal.fsync" && armed.Load() {
+				<-release
+			}
+			return nil
+		}
+	}
+	s := openSet(t, opts)
+	defer s.Close()
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // runs before Close
+	if s.LeaderDir() == ds[2] {
+		t.Fatalf("the slow member %s leads", ds[2])
+	}
+	s.Grow(0, 0)
+	s.Grow(6, 0)
+	armed.Store(true)
+
+	const commits = 20
+	done := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func(a nvm.Addr) {
+			for v := uint64(1); v <= commits; v++ {
+				if err := s.Commit([]nvm.WordUpdate{{Addr: a, Val: v}}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(nvm.Addr(6 * w))
+	}
+	timeout := time.After(10 * time.Second)
+	for w := 0; w < 2; w++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Commit: %v", err)
+			}
+		case <-timeout:
+			t.Fatal("commits blocked behind the slow member's sync")
+		}
+	}
+	st := s.Status()
+	if st.Members[0].Seq != 2*commits {
+		t.Fatalf("leader seq = %d, want %d", st.Members[0].Seq, 2*commits)
+	}
+	for _, m := range st.Members {
+		if m.Dir == ds[2] && (!m.Healthy || m.Seq >= st.Members[0].Seq) {
+			t.Fatalf("slow member %+v, want healthy and behind the leader while its sync is blocked", m)
+		}
+	}
+	unblock()
+	for _, m := range settled(t, s).Members {
+		if !m.Healthy || m.Seq != 2*commits {
+			t.Fatalf("member %+v after release, want healthy and durable at %d", m, 2*commits)
+		}
+	}
+}
+
+// TestFailoverWithCommitsInFlight: two committers run across a leader
+// failover, the leader's I/O failing mid-run. Exactly one promotion
+// happens, no commit fails, and a fresh Set over the same directories
+// recovers every acknowledged value.
+func TestFailoverWithCommitsInFlight(t *testing.T) {
+	ds := dirs(t, 3)
+	var failLeader atomic.Bool
+	opts := fastOpts(ds)
+	opts.InjectFor = func(i int) func(op string) error {
+		if i != 0 {
+			return nil
+		}
+		return func(op string) error {
+			if failLeader.Load() {
+				return errors.New("injected disk failure")
+			}
+			return nil
+		}
+	}
+	s := openSet(t, opts)
+	if s.LeaderDir() != ds[0] {
+		t.Fatalf("leader = %s, want %s", s.LeaderDir(), ds[0])
+	}
+	const workers, commits = 2, 60
+	for w := 0; w < workers; w++ {
+		s.Grow(nvm.Addr(6*w), 0)
+	}
+	acked := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for v := uint64(1); v <= commits; v++ {
+				if w == 0 && v == commits/3 {
+					failLeader.Store(true)
+				}
+				if err := s.Commit([]nvm.WordUpdate{{Addr: nvm.Addr(6 * w), Val: v}}); err != nil {
+					t.Errorf("worker %d: Commit(%d): %v", w, v, err)
+					return
+				}
+				acked[w] = v
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := s.Status(); st.Promotions != 1 {
+		t.Fatalf("promotions = %d, want 1", st.Promotions)
+	}
+	if s.LeaderDir() == ds[0] {
+		t.Fatal("leader did not move off the faulted directory")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	failLeader.Store(false) // the old leader's disk comes back healthy
+	s2 := openSet(t, fastOpts(ds))
+	defer s2.Close()
+	for w := 0; w < workers; w++ {
+		if got, ok := s2.Recovered(nvm.Addr(6 * w)); !ok || got != acked[w] {
+			t.Errorf("Recovered(%d) = %d,%v, want the acknowledged %d", 6*w, got, ok, acked[w])
+		}
+	}
+}
+
+// setGoroutines counts the goroutines running a method of replica.Set.
+func setGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "nrl/internal/replica.(*Set)")
+}
+
+// TestCloseStopsGoroutines: Close stops every goroutine the Set
+// started, so nothing keeps a closed Set, or its memory, alive.
+func TestCloseStopsGoroutines(t *testing.T) {
+	s := openSet(t, fastOpts(dirs(t, 3)))
+	s.Grow(0, 0)
+	for v := uint64(1); v <= 10; v++ {
+		commitVal(t, s, 0, v)
+	}
+	if setGoroutines() == 0 {
+		t.Fatal("no Set goroutine running while the set is open")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A goroutine past its last statement may still be unwinding.
+	deadline := time.Now().Add(time.Second)
+	for setGoroutines() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d Set goroutines still running after Close", setGoroutines())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -6,48 +6,35 @@ import (
 	"nrl/internal/persist"
 )
 
-// fanout is the Set's persist.Shipper: it relays the leader's commit
-// pipeline to every attached follower. The hooks run while the Set's
-// own mutex is held (every call into the leader happens under it), so
-// they touch Set state directly and must not lock.
+// fanout is the Set's persist.Shipper. Its Append relays each record
+// the leader appends to every healthy follower; the leader's Append
+// runs only under the Set's lock, so Append touches Set state directly.
+// Checkpoint may run from a leader Sync outside that lock, so it only
+// raises an atomic flag.
 type fanout Set
 
-// Append ships one committed record to every healthy follower.
+// Append ships one record to every healthy follower, in sequence order.
+// The followers' sync goroutines make it durable.
 func (fn *fanout) Append(seq, epoch uint64, rec []byte) {
 	_ = epoch // followers learn epochs via SetEpoch, not per record
 	s := (*Set)(fn)
 	for _, f := range s.followers {
-		if !f.healthy || f.mirror == nil {
+		if !f.healthy {
 			continue
 		}
-		if !s.shipTry(func() error { return f.mirror.Append(seq, rec) }) {
-			s.faultLocked(f)
-		}
-	}
-}
-
-// Fence fsyncs every healthy follower; a follower that lands it is
-// durable at seq and counts toward quorum.
-func (fn *fanout) Fence(seq uint64) {
-	s := (*Set)(fn)
-	for _, f := range s.followers {
-		if !f.healthy || f.mirror == nil {
-			continue
-		}
-		if s.shipTry(func() error { return f.mirror.Fence() }) {
-			f.durable = seq
+		if s.shipTry(func() error { return f.mirror.Append(seq, rec) }) {
+			f.appended = seq
 		} else {
-			s.faultLocked(f)
+			s.backoffLocked(f)
 		}
 	}
 }
 
 // Checkpoint notes that the leader folded its log; the snapshot is
-// distributed by the commit path once the leader's lock is released
-// (the hook itself runs inside the leader's commit).
+// distributed by the next acknowledgement, with the Set quiescent.
 func (fn *fanout) Checkpoint(snapshotSeq uint64) {
 	_ = snapshotSeq
-	(*Set)(fn).snapPending = true
+	(*Set)(fn).snapPending.Store(true)
 }
 
 // shipTry runs one follower operation under the ship retry budget:
@@ -75,19 +62,11 @@ func (s *Set) shipTry(op func() error) bool {
 	}
 }
 
-// faultLocked detaches a follower after a ship failure and schedules
-// its heal.
-func (s *Set) faultLocked(f *follower) {
-	if f.mirror != nil {
-		f.mirror.Close()
-		f.mirror = nil
-	}
-	s.backoffLocked(f)
-}
-
 // backoffLocked marks a follower faulted and schedules the next heal
 // attempt: exponential in consecutive failures, jittered, measured in
-// commits so the schedule is deterministic under test.
+// acknowledged commits so the schedule is deterministic under test. A
+// faulted follower's mirror stays open until its heal, which runs with
+// no sync in flight.
 func (s *Set) backoffLocked(f *follower) {
 	f.healthy = false
 	f.fails++
@@ -99,8 +78,19 @@ func (s *Set) backoffLocked(f *follower) {
 	f.nextHeal = s.commits + base + uint64(s.rng.Int63n(int64(base)))
 }
 
+// healDueLocked reports whether a faulted follower's backoff expired.
+func (s *Set) healDueLocked() bool {
+	for _, f := range s.followers {
+		if !f.healthy && s.commits >= f.nextHeal {
+			return true
+		}
+	}
+	return false
+}
+
 // healLocked retries faulted followers: those whose backoff expired, or
-// all of them when force is set (a quorum shortfall cannot wait).
+// all of them when force is set (a quorum shortfall cannot wait). It
+// runs quiescent.
 func (s *Set) healLocked(force bool) {
 	for _, f := range s.followers {
 		if f.healthy {
@@ -158,13 +148,15 @@ func (s *Set) attachLocked(f *follower) {
 
 // catchUpLocked brings an attached follower to the leader's durable
 // state: by records when its prefix is still in the leader's log (same
-// epoch, no gap) and its data file is intact, by snapshot transfer
-// otherwise — which also wipes any stale-epoch tail the directory
-// carried. Records cannot mend a torn data page, and a follower holding
-// one its chain does not cover could never be promoted.
+// epoch, no gap), its data file is intact and no sync of it failed; by
+// snapshot transfer otherwise — which also wipes any stale-epoch tail
+// the directory carried. Records cannot mend a torn data page, and a
+// follower holding one its chain does not cover could never be
+// promoted. Nor can they mend a failed sync: the failed records read
+// back from the page cache as if they were on the disk.
 func (s *Set) catchUpLocked(f *follower) error {
 	m := f.mirror
-	if m.Epoch() == s.epoch && m.Seq() <= s.leader.Seq() && dataIntact(f.dir) {
+	if !f.needSnap && m.Epoch() == s.epoch && m.Seq() <= s.leader.Seq() && dataIntact(f.dir) {
 		if recs, ok, err := s.leader.RecordsSince(m.Seq()); err == nil && ok {
 			rerr := func() error {
 				for _, r := range recs {
@@ -175,11 +167,12 @@ func (s *Set) catchUpLocked(f *follower) error {
 				return m.Fence()
 			}()
 			if rerr == nil {
-				f.durable = m.Seq()
+				f.appended, f.durable = m.Seq(), m.Seq()
 				return nil
 			}
 			// Record catch-up failed part-way; fall through to the
 			// snapshot path, which replaces the state wholesale.
+			f.needSnap = true
 		}
 	}
 	img, seq, err := s.leader.Snapshot()
@@ -189,30 +182,34 @@ func (s *Set) catchUpLocked(f *follower) error {
 	if err := m.InstallSnapshot(img, seq, s.epoch); err != nil {
 		return err
 	}
-	f.durable = seq
+	f.appended, f.durable, f.needSnap = seq, seq, false
 	return nil
 }
 
 // distributeSnapLocked pushes the leader's latest checkpoint to every
 // healthy follower, resetting their logs so follower disk usage tracks
-// the leader's checkpoint cadence instead of growing without bound.
+// the leader's checkpoint cadence instead of growing without bound. It
+// runs quiescent.
 func (s *Set) distributeSnapLocked() {
-	if !s.snapPending {
+	if !s.snapPending.Load() {
 		return
 	}
-	s.snapPending = false
 	img, seq, err := s.leader.Snapshot()
+	// Cleared after the Snapshot: one that checkpoints raises the flag
+	// again for the image this call distributes.
+	s.snapPending.Store(false)
 	if err != nil {
 		return // leader degraded: the next commit fails over
 	}
 	for _, f := range s.followers {
-		if !f.healthy || f.mirror == nil || f.mirror.SnapshotSeq() >= seq {
+		if !f.healthy || f.mirror.SnapshotSeq() >= seq {
 			continue
 		}
 		if s.shipTry(func() error { return f.mirror.InstallSnapshot(img, seq, s.epoch) }) {
-			f.durable = seq
+			f.appended, f.durable = seq, seq
 		} else {
-			s.faultLocked(f)
+			f.needSnap = true
+			s.backoffLocked(f)
 		}
 	}
 }

@@ -6,11 +6,13 @@ import "nrl/internal/persist"
 type MemberStatus struct {
 	// Dir is the member's store directory.
 	Dir string `json:"dir"`
-	// Role is "leader", "follower", or "faulted" (a follower whose
-	// mirror is detached pending heal).
+	// Role is "leader", "follower", or "faulted" (a follower that
+	// failed a ship or a sync and waits for its heal).
 	Role string `json:"role"`
-	// Seq is the member's durable prefix; Epoch the epoch it last
-	// accepted. For faulted members both come from a read-only scan.
+	// Seq is the member's durable prefix, what quorum counts: for a
+	// follower the last sequence its sync goroutine fenced, not the last
+	// one shipped to it. Epoch is the epoch it last accepted. For
+	// faulted members both come from a read-only scan.
 	Seq   uint64 `json:"seq"`
 	Epoch uint64 `json:"epoch"`
 	// Healthy reports the member is attached and serving.
@@ -58,8 +60,8 @@ func (s *Set) Status() Status {
 	})
 	for _, f := range s.followers {
 		ms := MemberStatus{Dir: f.dir, Role: "follower", Healthy: f.healthy}
-		if f.mirror != nil {
-			ms.Seq = f.mirror.Seq()
+		if f.healthy {
+			ms.Seq = f.durable
 			ms.Epoch = f.mirror.Epoch()
 		} else {
 			ms.Role = "faulted"
