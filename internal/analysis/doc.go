@@ -22,7 +22,10 @@
 //   - witnessorder: `nrl:persist-before` field annotations declare a
 //     store-ordering lattice (cell contents before link publication,
 //     witness before ack, tag before install); stores must be persisted
-//     before the declared publication ops on every path.
+//     before the declared publication ops on every path. Fields marked
+//     `nrl:own-process` may share a fence (a co-fence satisfies a write
+//     publication of one), and a persist deferred past a store to an
+//     unmarked field or past any CAS is a shared-fold finding.
 //   - traceattr: flight-recorder Rec literals must carry a Kind (plus
 //     an Obj for lifecycle kinds), keeping the black box's forensics
 //     trustworthy.

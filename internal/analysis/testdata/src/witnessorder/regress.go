@@ -6,10 +6,12 @@ import "nrl/internal/nvm"
 // payload and tag were written and the linking CAS issued with the
 // persist of the payload missing from one revision — the classic
 // NVTraverse bug the power-failure sweeps only caught at one specific
-// crash index. Arrays exercise the index-peeling in addrField.
+// crash index. Arrays exercise the index-peeling in addrField. The
+// payload and tag are stored while the cell is private, so the fixed
+// revision may fold both into one fence.
 type queue struct {
-	vals  []nvm.Addr // nrl:persist-before links(cas): cell before link
-	tags  []nvm.Addr // nrl:persist-before links(cas): tag before install
+	vals  []nvm.Addr // nrl:own-process; nrl:persist-before links(cas): cell before link
+	tags  []nvm.Addr // nrl:own-process; nrl:persist-before links(cas): tag before install
 	links []nvm.Addr
 }
 

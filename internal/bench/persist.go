@@ -7,6 +7,7 @@ import (
 
 	"nrl/internal/nvm"
 	"nrl/internal/persist"
+	"nrl/internal/proc"
 	"nrl/internal/replica"
 )
 
@@ -170,12 +171,27 @@ func replicaRow(procs int) Spec {
 	}
 }
 
+// queueFileRow is one recoverable ENQ+DEQ pair per op from one process
+// on Buffered memory over one segmented store, so each of the pair's
+// fences is a commit: the row prices the queue's fence placement on
+// real storage.
+func queueFileRow() Spec {
+	return queueRow("Queue/EnqDeq/recoverable/store=file", func() proc.Config {
+		f, err := persist.Open(benchDir(), persistStoreOpts())
+		if err != nil {
+			panic("bench: " + err.Error())
+		}
+		return proc.Config{Mem: nvm.New(nvm.WithMode(nvm.Buffered), nvm.WithBackend(f))}
+	})
+}
+
 // PersistSuite returns the durable-backend benchmarks ("persist"
 // report): segmented WAL append throughput on a single store, the same
 // with multi-word batches and with two committers whose syncs overlap,
-// and quorum-commit throughput over a three-member replica set from one
-// committer and from two whose commits pipeline. These are the
-// BENCH_persist.json rows the CI regression gate watches.
+// quorum-commit throughput over a three-member replica set from one
+// committer and from two whose commits pipeline, and the recoverable
+// queue over one store. These are the BENCH_persist.json rows the CI
+// regression gate watches.
 func PersistSuite() []Spec {
-	return []Spec{appendRow(1, 1), appendRow(8, 1), appendRow(1, 2), replicaRow(1), replicaRow(2)}
+	return []Spec{appendRow(1, 1), appendRow(8, 1), appendRow(1, 2), replicaRow(1), replicaRow(2), queueFileRow()}
 }

@@ -23,8 +23,8 @@ type CASObject struct {
 	c    nvm.Addr
 	r    [][]nvm.Addr // r[i][j]: j informs i; indices 1..N
 
-	resVal   []nvm.Addr // nrl:persist-before resValid(write): witness before ack (strict variant response)
-	resValid []nvm.Addr // strict variant: response-valid flag per process
+	resVal   []nvm.Addr // nrl:own-process; nrl:persist-before resValid(write): witness no later than the ack (strict variant response)
+	resValid []nvm.Addr // nrl:own-process: strict variant: response-valid flag per process
 
 	cas       *casOp
 	read      *casRead
@@ -102,6 +102,16 @@ func (o *CASObject) ReadOp() proc.Operation { return o.read }
 
 // StrictCASOp exposes the STRICTCAS operation for direct nesting.
 func (o *CASObject) StrictCASOp() proc.Operation { return o.strictCAS }
+
+// PersistRead makes C durable on Buffered memory (a no-op on ADR).
+// STRICTCAS publishes its install at line 45 and fences it at line 48,
+// so in between a READ can return a value that a power failure rolls
+// back. A caller that answers from a READ without installing a value of
+// its own (an Empty DEQ or POP, an FAA READ) calls PersistRead before
+// it returns: persist on read. C may have moved on since the READ; a
+// newer value is as safe to make durable, because its installer fenced
+// what the value depends on before its CAS.
+func (o *CASObject) PersistRead(c *proc.Ctx) { c.PersistBuffered(o.c) }
 
 // casOp is Algorithm 2's CAS(old,new), program for process p:
 //
@@ -241,13 +251,13 @@ func (o *casRead) Exec(c *proc.Ctx, line int) uint64 {
 // (a successful <p,new> installation remains detectable forever through C
 // or the helping matrix) and persists the reconstructed response:
 //
-//	40: ResValid_p <- 0
+//	40: ResValid_p <- 0                              (fenced alone)
 //	41: <id,val> <- C.read()
 //	42: if val != old then ret <- false, proceed from line 47
 //	43: if id != null then R[id][p] <- val
 //	45: ret <- C.cas(<id,val>, <p,new>)
 //	47: ResVal_p <- ret
-//	48: ResValid_p <- 1
+//	48: ResValid_p <- 1; fence {C, ResVal_p, ResValid_p}
 //	49: return ret
 //
 //	STRICTCAS.RECOVER(old,new):
@@ -302,7 +312,6 @@ func (o *strictCASOp) Exec(c *proc.Ctx, line int) uint64 {
 			c.Step(45)
 			if c.CAS(o.obj.c, pair, packC(p, new)) {
 				ret = 1
-				c.PersistBuffered(o.obj.c)
 			} else {
 				ret = 0
 			}
@@ -310,12 +319,18 @@ func (o *strictCASOp) Exec(c *proc.Ctx, line int) uint64 {
 		case 47:
 			c.Step(47)
 			c.Write(o.obj.resVal[p], ret)
-			c.PersistBuffered(o.obj.resVal[p])
 			line = 48
 		case 48:
 			c.Step(48)
 			c.Write(o.obj.resValid[p], 1)
-			c.PersistBuffered(o.obj.resValid[p])
+			// One fence makes the response and C durable together: the
+			// fence is atomic, so ResValid_p = 1 is never durable
+			// without ResVal_p or without the C it answers from (line
+			// 40's fence already retired the previous response). C is
+			// in it on both paths. A successful install is durable only
+			// from here, and a false may answer from another process's
+			// install that is still volatile (persist on read).
+			c.PersistBuffered(o.obj.c, o.obj.resVal[p], o.obj.resValid[p])
 			line = 49
 		case 49:
 			c.Step(49)

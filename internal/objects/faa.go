@@ -319,7 +319,8 @@ func (o *faaStrictOp) Exec(c *proc.Ctx, line int) uint64 {
 // faaRead returns the current sum:
 //
 //	20: cur <- C.READ
-//	21: return sum(cur)
+//	21: return sum(cur)                      (fence {C} first: persist
+//	                                         on read)
 //
 //	READ.RECOVER: proceed from line 20
 type faaRead struct {
@@ -340,6 +341,9 @@ func (o *faaRead) Exec(c *proc.Ctx, line int) uint64 {
 			line = 21
 		case 21:
 			c.Step(21)
+			// Persist on read: cur may be an Add's install that is not
+			// yet durable (STRICTCAS fences it at its line 48).
+			o.obj.cas.PersistRead(c)
 			return faaSum(cur)
 		case 23:
 			c.RecStep(23)

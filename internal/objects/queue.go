@@ -31,16 +31,27 @@ import (
 // dequeues); enqueuers help it forward exactly as in Michael–Scott, and
 // an enqueue recovery that cannot cheaply re-swing TAIL simply leaves the
 // help to later operations.
+//
+// On Buffered memory each op fences once per publication (DESIGN.md §5c).
+// ENQ makes MyCell_p, the cell's val and next and LinkTarget_p durable in
+// one fence before its link CAS, then the link and Seq_p in one fence
+// before TAIL's CAS; DEQ makes Victim_p, Seq_p and the link it read in
+// one fence before HEAD's strict CAS. A process persists the link it
+// moves HEAD or TAIL past (the enqueue helper persists it too), because
+// its enqueuer may not have fenced it yet: neither HEAD nor TAIL is ever
+// durable past a link that is not. HEAD is durable only at its
+// STRICTCAS's line-48 fence, so a DEQ that answers Empty persists the
+// HEAD it read first.
 type Queue struct {
 	name  string
 	alloc *FAA
 	head  *core.CASObject
 	tail  *core.CASObject
-	val   []nvm.Addr // nrl:persist-before next(cas): cell contents before the link publishes them
-	next  []nvm.Addr // nrl:persist-before next(cas): nilIdx = no successor yet; init before publication
-	seq   []nvm.Addr // nrl:persist-before next(cas): tag counter durable before a tag is installed
-	mine  []nvm.Addr // MyCell_p: cell being enqueued
-	vict  []nvm.Addr // Victim_p: cell index being dequeued
+	val   []nvm.Addr // nrl:own-process; nrl:persist-before next(cas): cell contents, stored while private, before the link publishes them
+	next  []nvm.Addr // nrl:own-process; nrl:persist-before next(cas): nilIdx = no successor yet, stored while private, then linked by CAS
+	seq   []nvm.Addr // nrl:own-process; nrl:persist-before next(cas): tag counter durable before a tag is installed
+	mine  []nvm.Addr // nrl:own-process; nrl:persist-before next(cas): MyCell_p, the cell being enqueued
+	vict  []nvm.Addr // nrl:own-process; nrl:persist-before next(cas): Victim_p (DEQ) and LinkTarget_p (ENQ)
 
 	enq *queueEnq
 	deq *queueDeq
@@ -117,10 +128,13 @@ func (o *Queue) InnerNames() (headCAS, tailCAS, allocFAA, allocCAS string) {
 //	 4: t <- TAIL.READ                       (nested recoverable)
 //	 5: nxt <- next[idx(t)]
 //	 6: if nxt != nil then TAIL.CAS(t, tag(p, seq, nxt)), proceed from 4
-//	 7: LinkTarget is idx(t) (implied by MyCell_p and the next words)
+//	    (fence {next[idx(t)], Seq_p} first: persist on read)
+//	 7: LinkTarget_p <- idx(t); fence {MyCell_p, val[idx], next[idx],
+//	    LinkTarget_p}
 //	 8: ok <- cas(next[idx(t)], nil, idx)    (primitive; linearization)
 //	 9: if not ok then proceed from 4
-//	10: TAIL.CAS(t, tag(p, seq, idx))        (best-effort swing)
+//	10: TAIL.CAS(t, tag(p, seq, idx))        (best-effort swing; fence
+//	    {next[idx(t)], Seq_p} first)
 //	11: return ack
 //
 //	ENQ.RECOVER(v):
@@ -131,8 +145,9 @@ func (o *Queue) InnerNames() (headCAS, tailCAS, allocFAA, allocCAS string) {
 //	    the predecessor persisted in LinkTarget_p at line 7. Because idx
 //	    is globally unique and next words are written at most once,
 //	    next[LinkTarget_p] = idx is a stable witness of success: if it
-//	    holds, the enqueue is linearized (return ack, leaving the TAIL
-//	    swing to helpers); otherwise the cas failed and the loop retries.
+//	    holds, the enqueue is linearized (persist the link, return ack,
+//	    leaving the TAIL swing to helpers); otherwise the cas failed and
+//	    the loop retries.
 type queueEnq struct {
 	obj *Queue
 }
@@ -160,17 +175,12 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 		case 2:
 			c.Step(2)
 			c.Write(o.obj.mine[p], idx)
-			c.PersistBuffered(o.obj.mine[p])
 			line = 3
 		case 3:
 			c.Step(3)
 			idx = c.Read(o.obj.mine[p])
 			c.Write(o.obj.val[idx], v)
 			c.Write(o.obj.next[idx], nilIdx)
-			// The cell's contents must be durable before the link at
-			// line 8 can make it reachable: a power failure must never
-			// expose a linked cell with unpersisted value.
-			c.PersistBuffered(o.obj.val[idx], o.obj.next[idx])
 			line = 4
 		case 4:
 			c.Step(4)
@@ -182,7 +192,13 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 			nxt := c.Read(o.obj.next[queueIdx(t)])
 			if nxt != nilIdx { // line 6: help swing the lagging tail
 				c.Step(6)
-				c.Invoke(o.obj.tail.CASOp(), t, o.obj.nextTag(c, p, nxt))
+				tag := o.obj.nextTag(c, p, nxt)
+				// Persist on read: the link TAIL moves past must be
+				// durable before TAIL is, or a power failure leaves a
+				// durable TAIL beyond a lost link (and with it the
+				// enqueues that its owner or this helper completed).
+				c.PersistBuffered(o.obj.next[queueIdx(t)], o.obj.seq[p])
+				c.Invoke(o.obj.tail.CASOp(), t, tag)
 				line = 4
 				continue
 			}
@@ -190,7 +206,10 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 		case 7:
 			c.Step(7)
 			c.Write(o.obj.vict[p], queueIdx(t)) // LinkTarget_p
-			c.PersistBuffered(o.obj.vict[p])
+			// One fence before the link makes the private cell and this
+			// process's bookkeeping durable together: a power failure
+			// must never expose a linked cell with unpersisted contents.
+			c.PersistBuffered(o.obj.mine[p], o.obj.val[idx], o.obj.next[idx], o.obj.vict[p])
 			c.Step(8)
 			ok := c.CAS(o.obj.next[queueIdx(t)], nilIdx, idx)
 			c.Step(9)
@@ -198,12 +217,13 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 				line = 4
 				continue
 			}
-			// The link is the linearization point: persist it before
-			// acknowledging, or a power failure would unlinearize a
-			// completed enqueue.
-			c.PersistBuffered(o.obj.next[queueIdx(t)])
 			c.Step(10)
-			c.Invoke(o.obj.tail.CASOp(), t, o.obj.nextTag(c, p, idx))
+			tag := o.obj.nextTag(c, p, idx)
+			// The link is the linearization point: it rides the fence
+			// that also retires the tag counter, before TAIL's CAS and
+			// the ack.
+			c.PersistBuffered(o.obj.next[queueIdx(t)], o.obj.seq[p])
+			c.Invoke(o.obj.tail.CASOp(), t, tag)
 			c.Step(11)
 			return Ack
 		case 13:
@@ -223,9 +243,12 @@ func (o *queueEnq) Exec(c *proc.Ctx, line int) uint64 {
 				line = 3
 			default:
 				idx = c.Read(o.obj.mine[p])
-				if c.Read(o.obj.next[c.Read(o.obj.vict[p])]) == idx {
+				if pred := c.Read(o.obj.vict[p]); c.Read(o.obj.next[pred]) == idx {
 					// The interrupted cas succeeded: the enqueue is
-					// linearized. TAIL may lag; later operations help.
+					// linearized. Its link may not have reached the
+					// fence yet; persist it before the ack. TAIL may
+					// lag; later operations help.
+					c.PersistBuffered(o.obj.next[pred])
 					return Ack
 				}
 				line = 4
@@ -244,10 +267,10 @@ func (o *Queue) nextTag(c *proc.Ctx, p int, idx uint64) uint64 {
 		panic(fmt.Sprintf("objects: Queue %q exhausted tags for process %d", o.name, p))
 	}
 	c.Write(o.seq[p], s)
-	// Persist the counter before the tag can be installed, so a power
-	// failure cannot roll it back and let a later incarnation reuse a
-	// tag (Algorithm 2 requires installed values to be distinct).
-	c.PersistBuffered(o.seq[p])
+	// The caller persists the counter in the fence before its install,
+	// so a power failure cannot roll it back and let a later
+	// incarnation reuse a tag (Algorithm 2 requires installed values
+	// to be distinct).
 	return faaPack(p, s, idx)
 }
 
@@ -255,9 +278,11 @@ func (o *Queue) nextTag(c *proc.Ctx, p int, idx uint64) uint64 {
 //
 //	 1: h <- HEAD.READ                       (nested recoverable)
 //	 2: nxt <- next[idx(h)]
-//	 3: if nxt = nil then return Empty
+//	 3: if nxt = nil then return Empty       (fence {HEAD's C} first:
+//	                                         persist on read)
 //	 4: Victim_p <- nxt
 //	 5: ok <- HEAD.STRICTCAS(h, tag(p, seq, nxt))
+//	    (fence {Victim_p, Seq_p, next[idx(h)]} first: persist on read)
 //	 6: if ok then return val[nxt]
 //	 7: proceed from line 1
 //
@@ -294,15 +319,23 @@ func (o *queueDeq) Exec(c *proc.Ctx, line int) uint64 {
 		case 3:
 			c.Step(3)
 			if nxt == nilIdx {
+				// Persist on read: the HEAD this answer rests on may be
+				// another DEQ's install that is not yet durable.
+				o.obj.head.PersistRead(c)
 				return Empty
 			}
 			line = 4
 		case 4:
 			c.Step(4)
 			c.Write(o.obj.vict[p], nxt)
-			c.PersistBuffered(o.obj.vict[p])
 			c.Step(5)
-			ok := c.Invoke(o.obj.head.StrictCASOp(), h, o.obj.nextTag(c, p, nxt))
+			tag := o.obj.nextTag(c, p, nxt)
+			// One fence before HEAD's CAS: Victim_p, the tag counter and
+			// (persist on read) the link HEAD moves past, which an
+			// enqueuer may not have fenced yet. HEAD is never durable
+			// past a link that is not.
+			c.PersistBuffered(o.obj.vict[p], o.obj.seq[p], o.obj.next[queueIdx(h)])
+			ok := c.Invoke(o.obj.head.StrictCASOp(), h, tag)
 			c.Step(6)
 			if ok == 1 {
 				return c.Read(o.obj.val[nxt])

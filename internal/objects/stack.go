@@ -34,15 +34,23 @@ const nilIdx = MaxFAAValue
 // leaks that cell (the allocator's response was lost); this is safe — the
 // stack's content is unaffected — and mirrors the paper's observation
 // that responses not persisted before a crash are unrecoverable.
+//
+// On Buffered memory each op fences once per publication (DESIGN.md §5c):
+// PUSH makes MyCell_p, the cell's val and next and Seq_p durable in one
+// fence before TOP's strict CAS; POP makes Victim_p and Seq_p durable in
+// one fence before it. A cell's next is durable before TOP can publish
+// the cell, so POP needs no flush of the link it reads. TOP itself is
+// durable only at its STRICTCAS's line-48 fence, so a POP that answers
+// Empty persists the TOP it read first (persist on read).
 type Stack struct {
 	name  string
 	alloc *FAA            // cell allocator
 	top   *core.CASObject // TOP
-	val   []nvm.Addr      // nrl:persist-before next(write): cell value before the link write
-	next  []nvm.Addr      // cell next-links (cell index or nilIdx)
-	seq   []nvm.Addr      // per-process tag counter
-	mine  []nvm.Addr      // MyCell_p: cell being pushed
-	vict  []nvm.Addr      // Victim_p: cell being popped
+	val   []nvm.Addr      // nrl:own-process; nrl:persist-before next(write): cell value, stored while private, no later than the link
+	next  []nvm.Addr      // nrl:own-process: cell next-links (cell index or nilIdx), stored while private
+	seq   []nvm.Addr      // nrl:own-process: per-process tag counter
+	mine  []nvm.Addr      // nrl:own-process: MyCell_p, the cell being pushed
+	vict  []nvm.Addr      // nrl:own-process: Victim_p, the cell being popped
 
 	push *stackPush
 	pop  *stackPop
@@ -114,21 +122,21 @@ func (o *Stack) nextTag(c *proc.Ctx, p int, idx uint64) uint64 {
 		panic(fmt.Sprintf("objects: Stack %q exhausted tags for process %d", o.name, p))
 	}
 	c.Write(o.seq[p], s)
-	// Persist the counter before the tag can be installed, so a power
-	// failure cannot roll it back and let a later incarnation reuse a
-	// tag (Algorithm 2 requires installed values to be distinct).
-	c.PersistBuffered(o.seq[p])
+	// The caller persists the counter in the fence before its install,
+	// so a power failure cannot roll it back and let a later
+	// incarnation reuse a tag (Algorithm 2 requires installed values
+	// to be distinct).
 	return faaPack(p, s, idx)
 }
 
 // stackPush is PUSH(v), program for process p:
 //
 //	 2: idx <- alloc.FAA(1)                 (nested recoverable FAA)
-//	 3: MyCell_p <- idx                     (persist the cell index)
+//	 3: MyCell_p <- idx
 //	 4: val[idx] <- v                       (cell still private)
 //	 5: top <- TOP.READ                     (nested recoverable)
 //	 6: next[idx] <- topIdx(top)
-//	 7: Seq_p <- Seq_p + 1
+//	 7: Seq_p <- Seq_p + 1; fence {MyCell_p, val[idx], next[idx], Seq_p}
 //	 8: ok <- TOP.STRICTCAS(top, pack(p, Seq_p, idx))
 //	 9: if ok then return ack else proceed from line 5
 //
@@ -165,15 +173,11 @@ func (o *stackPush) Exec(c *proc.Ctx, line int) uint64 {
 		case 3:
 			c.Step(3)
 			c.Write(o.obj.mine[p], idx)
-			c.PersistBuffered(o.obj.mine[p])
 			line = 4
 		case 4:
 			c.Step(4)
 			idx = c.Read(o.obj.mine[p])
 			c.Write(o.obj.val[idx], v)
-			// The cell's value must be durable before TOP can make it
-			// reachable at line 8.
-			c.PersistBuffered(o.obj.val[idx])
 			line = 5
 		case 5:
 			c.Step(5)
@@ -183,13 +187,15 @@ func (o *stackPush) Exec(c *proc.Ctx, line int) uint64 {
 		case 6:
 			c.Step(6)
 			c.Write(o.obj.next[idx], topIdx(top))
-			// Likewise the next-link: a power failure between the TOP
-			// install and a lagging link persist would tear the list.
-			c.PersistBuffered(o.obj.next[idx])
 			line = 7
 		case 7:
 			c.Step(7)
 			tag := o.obj.nextTag(c, p, idx)
+			// One fence before TOP can make the cell reachable at line
+			// 8: the cell (value and next-link, a power failure between
+			// the TOP install and a lagging persist would tear the list)
+			// with MyCell_p and the tag counter.
+			c.PersistBuffered(o.obj.mine[p], o.obj.val[idx], o.obj.next[idx], o.obj.seq[p])
 			c.Step(8)
 			ok := c.Invoke(o.obj.top.StrictCASOp(), top, tag)
 			c.Step(9)
@@ -230,10 +236,11 @@ func (o *stackPush) Exec(c *proc.Ctx, line int) uint64 {
 // stackPop is POP(), program for process p:
 //
 //	 2: top <- TOP.READ                     (nested recoverable)
-//	 3: if empty(top) then return Empty
-//	 4: Victim_p <- top                     (persist the candidate)
+//	 3: if empty(top) then return Empty     (fence {TOP's C} first:
+//	                                        persist on read)
+//	 4: Victim_p <- top
 //	 5: next <- next[topIdx(top)]
-//	 6: Seq_p <- Seq_p + 1
+//	 6: Seq_p <- Seq_p + 1; fence {Victim_p, Seq_p}
 //	 7: ok <- TOP.STRICTCAS(top, pack(p, Seq_p, next))
 //	 8: if ok then return val[topIdx(top)] else proceed from line 2
 //
@@ -264,19 +271,25 @@ func (o *stackPop) Exec(c *proc.Ctx, line int) uint64 {
 		case 3:
 			c.Step(3)
 			if topIdx(top) == nilIdx {
+				// Persist on read: the TOP this answer rests on may be
+				// another POP's install that is not yet durable.
+				o.obj.top.PersistRead(c)
 				return Empty
 			}
 			line = 4
 		case 4:
 			c.Step(4)
 			c.Write(o.obj.vict[p], top)
-			c.PersistBuffered(o.obj.vict[p])
 			line = 5
 		case 5:
 			c.Step(5)
 			next := c.Read(o.obj.next[topIdx(top)])
 			c.Step(6)
 			tag := o.obj.nextTag(c, p, next)
+			// Victim_p and the tag counter share one fence. The link read
+			// above needs none: a cell's next is durable before TOP can
+			// publish the cell.
+			c.PersistBuffered(o.obj.vict[p], o.obj.seq[p])
 			c.Step(7)
 			ok := c.Invoke(o.obj.top.StrictCASOp(), top, tag)
 			c.Step(8)
